@@ -12,6 +12,7 @@ Report CSV schemas:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -161,12 +162,7 @@ def locality_experiment(
     z_src = encode(fixture, codec_cfg)
 
     def run(mode: str | None) -> LatentGrid:
-        cfg = sampler_cfg if mode is None else SamplerConfig(
-            method=sampler_cfg.method,
-            mask_mode=mode,
-            add_final_noise=sampler_cfg.add_final_noise,
-            seed=sampler_cfg.seed,
-        )
+        cfg = sampler_cfg if mode is None else dataclasses.replace(sampler_cfg, mask_mode=mode)
         session = editor_mod.open_session(
             fixture,
             [edit],

@@ -1,19 +1,17 @@
 """Command-line entry point: reproducible runs from strict JSON configs.
 
-Subcommands: run-session, bench-drift, bench-locality, bench-ebm, train,
-verify.  Global flags: --seed (overrides the config), --out (output
-directory), --json (machine-readable reports where applicable).
-
+Each subcommand accepts only the flags it reads (``_COMMANDS``); --seed, --out,
+--T, --method and --mask-mode override the config field they name (``_FLAGS``).
 Exit codes: 0 success, 1 check or experiment failure, 2 configuration error.
-Unknown config keys are rejected; error messages name the offending field
-path.  Every command is a pure function of (config, seed): outputs are
-byte-identical across reruns.  Per-edit wall-clock timings are only written
-when --timings is passed, so default session logs stay deterministic.
+The whole config is checked against ``_FIELDS`` whatever the command, and
+error messages name the offending field path.  Outputs are byte-identical
+across reruns; per-edit wall-clock timings are only logged with --timings.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +26,7 @@ from . import verify as verify_mod
 from .codec import CodecConfig
 from .denoiser import EditInstruction, GMMPrior
 from .fixtures import fixture_path
-from .grid import GridParseError, LatentGrid, Mask, mean_stat, read_grid, read_mask, write_grid
+from .grid import LatentGrid, Mask, mean_stat, read_grid, read_mask, write_grid
 from .sampler import MASK_MODES, METHODS, LangevinConfig, SamplerConfig
 from .schedule import build_schedule
 
@@ -37,217 +35,260 @@ class ConfigError(ValueError):
     """Configuration problem; message names the offending field path."""
 
 
-def _expect_mapping(obj, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(allowed)})")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}: missing required key")
-    return obj
+_REQUIRED = object()
 
 
-def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    return float(obj)
+def _one_of(choices, noun: str | None = None):
+    def check(value, base_dir):
+        if value not in choices:
+            return f"unknown {noun} {value!r}" if noun else f"must be one of {choices}"
+    return check
 
 
-def _integer(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(f"{path}: expected an integer")
-    return obj
+def _at_least(low: int):
+    return lambda value, base_dir: None if value >= low else f"must be >= {low}, got {value}"
 
 
-def _string(obj, path: str) -> str:
-    if not isinstance(obj, str):
-        raise ConfigError(f"{path}: expected a string")
-    return obj
+def _nonempty(value, base_dir):
+    return None if value else "expected a nonempty list"
 
 
-def _existing_file(path_value: str, field: str, base_dir: str) -> str:
-    resolved = path_value if os.path.isabs(path_value) else os.path.join(base_dir, path_value)
-    if not os.path.isfile(resolved):
-        raise ConfigError(f"{field}: file not found: {path_value}")
-    return resolved
+def _file(value, base_dir):
+    if value is not None and not os.path.isfile(os.path.join(base_dir, value)):
+        return f"file not found: {value}"
 
 
-def load_config(path: str) -> dict:
+def _one_bias(value, base_dir):
+    if "bias" in value and "bias_file" in value:
+        return "give either bias or bias_file, not both"
+
+
+_PRIOR_SINGLE = {"label": "single_gaussian", "weights": [1.0], "means": [3.0], "scales": [1.0]}
+_PRIOR_BIMODAL = {"label": "bimodal", "weights": [0.5, 0.5], "means": [-2.0, 2.0],
+                  "scales": [0.25, 0.25]}
+
+# Every config field: path -> (type, default, check).  "x[]" is an item of the
+# list x; a type given as a path means "same fields as that path".  A default
+# of None leaves the field out when absent, so the library's default applies.
+# A check returns an error message or None.
+_FIELDS = {
+    "": (dict, _REQUIRED, None),
+    "seed": (int, _REQUIRED, None),
+    "out_dir": (str, None, None),
+    "schedule": (dict, {}, None),
+    "schedule.kind": (str, "linear", None),
+    "schedule.T": (int, 200, None),
+    "schedule.beta_start": (float, None, None),
+    "schedule.beta_end": (float, None, None),
+    "sampler": (dict, {}, None),
+    "sampler.method": (str, None, _one_of(METHODS)),
+    "sampler.mask_mode": (str, None, _one_of(MASK_MODES)),
+    "sampler.add_final_noise": (bool, None, None),
+    "codec": (dict, {}, None),
+    "codec.downsample": (int, None, None),
+    "codec.levels": (int, None, None),
+    "codec.clamp": (float, None, None),
+    "codec.unsharp": (float, None, None),
+    "session": (dict, None, None),
+    "session.input": (str, _REQUIRED, _file),
+    "session.strategy": (str, None, _one_of(editor_mod.STRATEGIES)),
+    "session.reuse_init": (bool, None, None),
+    "session.edits": (list, _REQUIRED, _nonempty),
+    "session.edits[]": (dict, _REQUIRED, _one_bias),
+    "session.edits[].id": (str, _REQUIRED, None),
+    "session.edits[].gain": ((float, list), None, None),
+    "session.edits[].gain[]": (float, _REQUIRED, None),
+    "session.edits[].bias": (float, None, None),
+    "session.edits[].bias_file": (str, None, _file),
+    "session.edits[].scale": (float, None, None),
+    "session.edits[].mask": (str, None, _file),
+    "bench": (dict, {}, None),
+    "bench.fixture": (str, "shipped", lambda v, base_dir: v != "shipped" and _file(v, base_dir)),
+    "bench.drift": (dict, {}, None),
+    "bench.drift.steps": (int, 16, _at_least(2)),
+    "bench.drift.edit_noise": (float, None, None),
+    "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _nonempty),
+    "bench.drift.strategies[]": (str, _REQUIRED, _one_of(editor_mod.STRATEGIES, "strategy")),
+    "bench.locality": (dict, {}, None),
+    "bench.locality.edit": ("session.edits[]", {"id": "brighten", "bias": 0.6, "scale": 0.08}, None),
+    "bench.locality.mask": ((str, type(None)), None, _file),
+    "bench.locality.modes": (list, list(MASK_MODES), None),
+    "bench.locality.modes[]": (str, _REQUIRED, _one_of(MASK_MODES, "mode")),
+    "bench.ebm": (dict, {}, None),
+    "bench.ebm.chains": (int, 10000, _at_least(1)),
+    "bench.ebm.priors": (list, [_PRIOR_SINGLE, _PRIOR_BIMODAL], _nonempty),
+    "bench.ebm.priors[]": (dict, _REQUIRED, None),
+    "bench.ebm.priors[].label": (str, None, None),
+    "bench.ebm.priors[].weights": (list, _REQUIRED, None),
+    "bench.ebm.priors[].weights[]": (float, _REQUIRED, None),
+    "bench.ebm.priors[].means": (list, _REQUIRED, None),
+    "bench.ebm.priors[].means[]": (float, _REQUIRED, None),
+    "bench.ebm.priors[].scales": (list, _REQUIRED, None),
+    "bench.ebm.priors[].scales[]": (float, _REQUIRED, None),
+    "bench.ebm.langevin": (dict, {}, None),
+    "bench.ebm.langevin.step_size": (float, 0.05, None),
+    "bench.ebm.langevin.noise_scale": ((float, list), None, None),
+    "bench.ebm.langevin.noise_scale[]": (float, _REQUIRED, None),
+    "bench.ebm.langevin.steps": (int, 2000, None),
+    "training": (dict, None, None),
+    "training.prior": ("bench.ebm.priors[]", _REQUIRED, None),
+    "training.hidden": (int, None, None),
+    "training.embed": (int, None, None),
+    "training.learning_rate": (float, 0.004, None),
+    "training.batch_size": (int, 128, None),
+    "training.steps": (int, 20000, None),
+    "training.optimizer": (str, "adam", None),
+}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+               dict: "an object", list: "a list", type(None): "null"}
+
+
+def _is(value, kind) -> bool:
+    if kind is float:  # rejects NaN, Infinity and integers too big for a float
+        return (_is(value, int) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _walk(value, field: str, where: str, base_dir: str, overrides: dict):
+    """Check ``value`` against ``_FIELDS[field]``; return a copy with numbers as
+    floats, ``overrides`` (field path -> value) applied and absent fields set
+    to their table defaults."""
+    kind, _, check = _FIELDS[field]
+    if isinstance(kind, str):
+        field = kind
+        kind, _, check = _FIELDS[field]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not any(_is(value, k) for k in kinds):
+        raise ConfigError(f"{where}: expected {_TYPE_NAMES[kinds[0]]}")
+    problem = check(value, base_dir) if check else None
+    if problem:
+        raise ConfigError(f"{where}: {problem}")
+    if isinstance(value, list):
+        return [_walk(v, f"{field}[]", f"{where}[{i}]", base_dir, overrides)
+                for i, v in enumerate(value)]
+    if isinstance(value, dict):
+        children = {path.rpartition(".")[2]: path for path in _FIELDS
+                    if path and path.rpartition(".")[0] == field and not path.endswith("[]")}
+        for key in value:
+            if key not in children:
+                raise ConfigError(f"{where}.{key}: unknown key (allowed: {sorted(children)})")
+        out = {}
+        for key, child in children.items():
+            given = overrides.get(child, value.get(key, _FIELDS[child][1]))
+            if given is _REQUIRED:
+                raise ConfigError(f"{where}.{key}: missing required key")
+            if key in value or given is not None:
+                out[key] = _walk(given, child, f"{where}.{key}", base_dir, overrides)
+        return out
+    return float(value) if float in kinds else value
+
+
+def _read(path: str, overrides: dict) -> tuple[dict, dict]:
+    """The JSON document as parsed, and its checked copy (see ``_walk``)."""
     if not os.path.isfile(path):
         raise ConfigError(f"config: file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+    except ValueError as exc:  # also undecodable bytes
         raise ConfigError(f"config: invalid JSON: {exc}") from None
-    _expect_mapping(
-        cfg, "config",
-        required=("seed",),
-        optional=("out_dir", "schedule", "sampler", "codec", "session", "bench", "training"),
-    )
-    _integer(cfg["seed"], "config.seed")
-    return cfg
+    return doc, _walk(doc, "", "config", os.path.dirname(os.path.abspath(path)), overrides)
 
 
-def _build_schedule_block(cfg: dict, override_T: int | None = None):
-    block = _expect_mapping(
-        cfg.get("schedule", {}), "config.schedule",
-        required=(), optional=("kind", "T", "beta_start", "beta_end"),
-    )
-    kind = _string(block.get("kind", "linear"), "config.schedule.kind")
-    T = override_T if override_T is not None else _integer(block.get("T", 200), "config.schedule.T")
-    beta_start = _number(block.get("beta_start", 1e-4), "config.schedule.beta_start")
-    beta_end = _number(block.get("beta_end", 0.02), "config.schedule.beta_end")
+def load_config(path: str) -> dict:
+    """Read a run config and check all of it; returns the document unchanged."""
+    return _read(path, {})[0]
+
+
+def _at(where: str, build, *args, **kwargs):
+    """Build a library object or read a file; a ValueError or OSError it
+    raises is a config error at ``where``."""
     try:
-        return build_schedule(kind, T, beta_start, beta_end)
-    except ValueError as exc:
-        raise ConfigError(f"config.schedule: {exc}") from None
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _build_sampler_block(cfg: dict, seed: int, args=None) -> SamplerConfig:
-    block = _expect_mapping(
-        cfg.get("sampler", {}), "config.sampler",
-        required=(), optional=("method", "mask_mode", "add_final_noise"),
-    )
-    method = _string(block.get("method", "ddpm_full"), "config.sampler.method")
-    mask_mode = _string(block.get("mask_mode", "pin"), "config.sampler.mask_mode")
-    if args is not None and args.method is not None:
-        method = args.method
-    if args is not None and args.mask_mode is not None:
-        mask_mode = args.mask_mode
-    if method not in METHODS:
-        raise ConfigError(f"config.sampler.method: must be one of {METHODS}")
-    if mask_mode not in MASK_MODES:
-        raise ConfigError(f"config.sampler.mask_mode: must be one of {MASK_MODES}")
-    add_final = block.get("add_final_noise", False)
-    if not isinstance(add_final, bool):
-        raise ConfigError("config.sampler.add_final_noise: expected a boolean")
-    return SamplerConfig(method=method, mask_mode=mask_mode, add_final_noise=add_final, seed=seed)
+def _pick(block: dict, *keys: str) -> dict:
+    return {k: block[k] for k in keys if k in block}
 
 
-def _build_codec_block(cfg: dict) -> CodecConfig:
-    block = _expect_mapping(
-        cfg.get("codec", {}), "config.codec",
-        required=(), optional=("downsample", "levels", "clamp", "unsharp"),
-    )
-    try:
-        return CodecConfig(
-            downsample=_integer(block.get("downsample", 2), "config.codec.downsample"),
-            levels=_integer(block.get("levels", 32), "config.codec.levels"),
-            clamp=_number(block.get("clamp", 4.0), "config.codec.clamp"),
-            unsharp=_number(block.get("unsharp", 0.15), "config.codec.unsharp"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.codec: {exc}") from None
+def _needed(cfg: dict, key: str, why: str):
+    if key not in cfg:
+        raise ConfigError(f"config.{key}: missing ({why})")
+    return cfg[key]
 
 
-def _build_edit(block, path: str, base_dir: str) -> tuple[EditInstruction, str | None]:
-    _expect_mapping(block, path, required=("id",), optional=("gain", "bias", "bias_file", "scale", "mask"))
-    if "bias" in block and "bias_file" in block:
-        raise ConfigError(f"{path}: give either bias or bias_file, not both")
-    gain = block.get("gain", 1.0)
-    if isinstance(gain, list):
-        gain = [_number(g, f"{path}.gain[{i}]") for i, g in enumerate(gain)]
-    else:
-        gain = _number(gain, f"{path}.gain")
-    if "bias_file" in block:
-        bias = read_grid(_existing_file(_string(block["bias_file"], f"{path}.bias_file"),
-                                        f"{path}.bias_file", base_dir))
-    else:
-        bias = _number(block.get("bias", 0.0), f"{path}.bias")
-    scale = _number(block.get("scale", 0.0), f"{path}.scale")
-    try:
-        edit = EditInstruction(id=_string(block["id"], f"{path}.id"), gain=gain,
-                               bias=bias, target_scale=scale)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    mask_file = block.get("mask")
-    if mask_file is not None:
-        mask_file = _existing_file(_string(mask_file, f"{path}.mask"), f"{path}.mask", base_dir)
-    return edit, mask_file
-
-
-def _build_prior(block, path: str) -> GMMPrior:
-    _expect_mapping(block, path, required=("weights", "means", "scales"), optional=("label",))
-    for key in ("weights", "means", "scales"):
-        if not isinstance(block[key], list):
-            raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    try:
-        return GMMPrior.scalar(
-            [_number(v, f"{path}.weights") for v in block["weights"]],
-            [_number(v, f"{path}.means") for v in block["means"]],
-            [_number(v, f"{path}.scales") for v in block["scales"]],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _resolve_fixture(bench_block: dict, base_dir: str) -> LatentGrid:
-    name = bench_block.get("fixture", "shipped")
-    if name == "shipped":
-        return read_grid(fixture_path())
-    return read_grid(_existing_file(_string(name, "config.bench.fixture"),
-                                    "config.bench.fixture", base_dir))
-
-
-def _out_dir(cfg: dict, args) -> str:
-    out = args.out or cfg.get("out_dir")
-    if out is None:
-        raise ConfigError("config.out_dir: missing (or pass --out)")
-    os.makedirs(out, exist_ok=True)
+def _out_dir(cfg: dict) -> str:
+    out = _needed(cfg, "out_dir", "or pass --out")
+    _at("config.out_dir", os.makedirs, out, exist_ok=True)
     return out
 
 
-def _write_json(payload, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _schedule(cfg: dict):
+    return _at("config.schedule", build_schedule, **cfg["schedule"])
+
+
+def _core(cfg: dict) -> dict:
+    """The schedule, sampler and codec that the editing commands share."""
+    return {
+        "sched": _schedule(cfg),
+        "sampler_cfg": SamplerConfig(**cfg["sampler"]),  # every field is checked by _FIELDS
+        "codec_cfg": _at("config.codec", CodecConfig, **cfg["codec"]),
+    }
+
+
+def _edit(block: dict, where: str, base_dir: str) -> tuple[EditInstruction, Mask | None]:
+    kwargs = _pick(block, "gain", "bias")
+    if "scale" in block:
+        kwargs["target_scale"] = block["scale"]
+    if "bias_file" in block:
+        kwargs["bias"] = _at(f"{where}.bias_file", read_grid,
+                             os.path.join(base_dir, block["bias_file"]))
+    mask = (_at(f"{where}.mask", read_mask, os.path.join(base_dir, block["mask"]))
+            if "mask" in block else None)
+    return _at(where, EditInstruction, id=block["id"], **kwargs), mask
+
+
+def _prior(block: dict, where: str) -> GMMPrior:
+    return _at(where, GMMPrior.scalar, block["weights"], block["means"], block["scales"])
+
+
+def _bench_fixture(cfg: dict, base_dir: str, core: dict) -> LatentGrid:
+    name = cfg["bench"]["fixture"]
+    path = fixture_path() if name == "shipped" else os.path.join(base_dir, name)
+    fixture = _at("config.bench.fixture", read_grid, path)
+    # open_session checks the image against the codec's block size
+    _at("config.bench.fixture", editor_mod.open_session, fixture, [], **core)
+    return fixture
+
+
+def _write_report(report, out: str, name: str, args) -> None:
+    fmt = "json" if args.json else "csv"
+    path = os.path.join(out, f"{name}.{fmt}")
+    bench_mod.write_report(report, path, fmt)
+    print(f"wrote {path}")
+
+
+def _report_lines(lines) -> int:
+    for name, ok, detail in lines:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    return 0 if all(ok for _, ok, _ in lines) else 1
 
 
 def cmd_run_session(cfg: dict, args, base_dir: str) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    sched = _build_schedule_block(cfg, args.T)
-    sampler_cfg = _build_sampler_block(cfg, seed, args)
-    codec_cfg = _build_codec_block(cfg)
-    block = _expect_mapping(
-        cfg.get("session"), "config.session",
-        required=("input", "edits"), optional=("strategy", "reuse_init"),
+    block = _needed(cfg, "session", "needed by run-session")
+    image = _at("config.session.input", read_grid, os.path.join(base_dir, block["input"]))
+    edits, masks = zip(*(_edit(e, f"config.session.edits[{i}]", base_dir)
+                         for i, e in enumerate(block["edits"])))
+    session = _at(
+        "config.session", editor_mod.open_session, image, edits,
+        masks if any(m is not None for m in masks) else None, **_core(cfg),
+        seed=cfg["seed"], **_pick(block, "strategy", "reuse_init"),
     )
-    input_path = _existing_file(_string(block["input"], "config.session.input"),
-                                "config.session.input", base_dir)
-    image = read_grid(input_path)
-    strategy = _string(block.get("strategy", "latent_iteration"), "config.session.strategy")
-    if strategy not in editor_mod.STRATEGIES:
-        raise ConfigError(f"config.session.strategy: must be one of {editor_mod.STRATEGIES}")
-    reuse_init = block.get("reuse_init", False)
-    if not isinstance(reuse_init, bool):
-        raise ConfigError("config.session.reuse_init: expected a boolean")
-    if not isinstance(block["edits"], list) or not block["edits"]:
-        raise ConfigError("config.session.edits: expected a nonempty list")
+    out = _out_dir(cfg)
 
-    edits, masks, any_mask = [], [], False
-    for i, edit_block in enumerate(block["edits"]):
-        edit, mask_file = _build_edit(edit_block, f"config.session.edits[{i}]", base_dir)
-        edits.append(edit)
-        if mask_file is not None:
-            any_mask = True
-            masks.append(read_mask(mask_file))
-        else:
-            masks.append(None)
-
-    try:
-        session = editor_mod.open_session(
-            image, edits, masks if any_mask else None,
-            sched=sched, sampler_cfg=sampler_cfg, codec_cfg=codec_cfg,
-            strategy=strategy, seed=seed, reuse_init=reuse_init,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.session: {exc}") from None
-
-    out = _out_dir(cfg, args)
     log_edits = []
     for i in range(len(edits)):
         start = time.perf_counter()
@@ -266,53 +307,25 @@ def cmd_run_session(cfg: dict, args, base_dir: str) -> int:
         if args.timings:
             entry["duration_s"] = elapsed
         log_edits.append(entry)
-    _write_json(
-        {"strategy": strategy, "seed": seed, "num_edits": len(edits), "edits": log_edits},
-        os.path.join(out, "session_log.json"),
-    )
+    with open(os.path.join(out, "session_log.json"), "w", encoding="ascii", newline="\n") as fh:
+        json.dump({"strategy": session.strategy, "seed": cfg["seed"], "num_edits": len(edits),
+                   "edits": log_edits}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {len(edits)} edited grids and session_log.json to {out}")
     return 0
 
 
-def _report_lines(lines) -> int:
-    failures = 0
-    for name, ok, detail in lines:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
-
-
 def cmd_bench_drift(cfg: dict, args, base_dir: str) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    sched = _build_schedule_block(cfg, args.T)
-    sampler_cfg = _build_sampler_block(cfg, seed, args)
-    codec_cfg = _build_codec_block(cfg)
-    block = _expect_mapping(
-        cfg.get("bench", {}), "config.bench",
-        required=(), optional=("fixture", "drift", "locality", "ebm"),
-    )
-    drift = _expect_mapping(
-        block.get("drift", {}), "config.bench.drift",
-        required=(), optional=("steps", "edit_noise", "strategies"),
-    )
-    steps = _integer(drift.get("steps", 16), "config.bench.drift.steps")
-    noise = _number(drift.get("edit_noise", bench_mod.DEFAULT_EDIT_NOISE),
-                    "config.bench.drift.edit_noise")
-    strategies = drift.get("strategies", list(editor_mod.STRATEGIES))
-    for s in strategies:
-        if s not in editor_mod.STRATEGIES:
-            raise ConfigError(f"config.bench.drift.strategies: unknown strategy {s!r}")
-    fixture = _resolve_fixture(block, base_dir)
+    drift = cfg["bench"]["drift"]
+    core = _core(cfg)
+    fixture = _bench_fixture(cfg, base_dir, core)
+    out = _out_dir(cfg)
 
     report = bench_mod.drift_experiment(
-        fixture, strategies, steps, sched=sched, sampler_cfg=sampler_cfg,
-        codec_cfg=codec_cfg, seed=seed, edit_noise=noise,
+        fixture, drift["strategies"], drift["steps"], **core, seed=cfg["seed"],
+        **_pick(drift, "edit_noise"),
     )
-    out = _out_dir(cfg, args)
-    fmt = "json" if args.json else "csv"
-    path = os.path.join(out, f"drift.{fmt}")
-    bench_mod.write_report(report, path, fmt)
-    print(f"wrote {path}")
+    _write_report(report, out, "drift", args)
 
     by = {}
     for row in report.rows:
@@ -328,52 +341,31 @@ def cmd_bench_drift(cfg: dict, args, base_dir: str) -> int:
             ordered = all(lat[e] <= img[e] for e in range(1, len(lat)))
             lines.append(("latent-below-image-from-step-2", ordered,
                           f"latent final {lat[-1]:.4f} vs image final {img[-1]:.4f}"))
-            lines.append(("latent-final-below-image-step-4", lat[-1] <= img[3],
-                          f"{lat[-1]:.4f} <= {img[3]:.4f}"))
+            if len(img) >= 4:
+                lines.append(("latent-final-below-image-step-4", lat[-1] <= img[3],
+                              f"{lat[-1]:.4f} <= {img[3]:.4f}"))
     return _report_lines(lines)
 
 
 def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    sched = _build_schedule_block(cfg, args.T)
-    sampler_cfg = _build_sampler_block(cfg, seed, args)
-    codec_cfg = _build_codec_block(cfg)
-    block = _expect_mapping(
-        cfg.get("bench", {}), "config.bench",
-        required=(), optional=("fixture", "drift", "locality", "ebm"),
-    )
-    loc = _expect_mapping(
-        block.get("locality", {}), "config.bench.locality",
-        required=(), optional=("edit", "mask", "modes"),
-    )
-    fixture = _resolve_fixture(block, base_dir)
-    lat_h = fixture.h // codec_cfg.downsample
-    lat_w = fixture.w // codec_cfg.downsample
-    if "mask" in loc and loc["mask"] is not None:
-        mask = read_mask(_existing_file(_string(loc["mask"], "config.bench.locality.mask"),
-                                        "config.bench.locality.mask", base_dir))
+    loc = cfg["bench"]["locality"]
+    core = _core(cfg)
+    fixture = _bench_fixture(cfg, base_dir, core)
+    edit, _ = _edit(loc["edit"], "config.bench.locality.edit", base_dir)
+    if loc.get("mask") is not None:
+        mask = _at("config.bench.locality.mask", read_mask, os.path.join(base_dir, loc["mask"]))
     else:
+        lat_h = fixture.h // core["codec_cfg"].downsample
+        lat_w = fixture.w // core["codec_cfg"].downsample
         block_mask = np.zeros((lat_h, lat_w))
         block_mask[lat_h // 4 : 3 * lat_h // 4, lat_w // 4 : 3 * lat_w // 4] = 1.0
         mask = Mask(block_mask)
-    if "edit" in loc:
-        edit, _ = _build_edit(loc["edit"], "config.bench.locality.edit", base_dir)
-    else:
-        edit = EditInstruction(id="brighten", gain=1.0, bias=0.6, target_scale=0.08)
-    modes = loc.get("modes", list(MASK_MODES))
-    for m in modes:
-        if m not in MASK_MODES:
-            raise ConfigError(f"config.bench.locality.modes: unknown mode {m!r}")
+    _at("config.bench.locality", editor_mod.open_session, fixture, [edit], [mask], **core)
+    out = _out_dir(cfg)
 
-    report = bench_mod.locality_experiment(
-        fixture, edit, mask, modes, sched=sched, sampler_cfg=sampler_cfg,
-        codec_cfg=codec_cfg, seed=seed,
-    )
-    out = _out_dir(cfg, args)
-    fmt = "json" if args.json else "csv"
-    path = os.path.join(out, f"locality.{fmt}")
-    bench_mod.write_report(report, path, fmt)
-    print(f"wrote {path}")
+    report = bench_mod.locality_experiment(fixture, edit, mask, loc["modes"], **core,
+                                           seed=cfg["seed"])
+    _write_report(report, out, "locality", args)
 
     rows = {row[0]: row for row in report.rows}
     lines = []
@@ -393,90 +385,44 @@ def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
 
 
 def cmd_bench_ebm(cfg: dict, args, base_dir: str) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    sched = _build_schedule_block(cfg, args.T)
-    sampler_cfg = _build_sampler_block(cfg, seed, args)
-    block = _expect_mapping(
-        cfg.get("bench", {}), "config.bench",
-        required=(), optional=("fixture", "drift", "locality", "ebm"),
-    )
-    ebm = _expect_mapping(
-        block.get("ebm", {}), "config.bench.ebm",
-        required=(), optional=("chains", "priors", "langevin"),
-    )
-    chains = _integer(ebm.get("chains", 10000), "config.bench.ebm.chains")
-    lang = _expect_mapping(
-        ebm.get("langevin", {}), "config.bench.ebm.langevin",
-        required=(), optional=("step_size", "noise_scale", "steps"),
-    )
-    try:
-        lang_cfg = LangevinConfig(
-            step_size=_number(lang.get("step_size", 0.05), "config.bench.ebm.langevin.step_size"),
-            noise_scale=lang.get("noise_scale"),
-            steps=_integer(lang.get("steps", 2000), "config.bench.ebm.langevin.steps"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.bench.ebm.langevin: {exc}") from None
-    priors_cfg = ebm.get("priors")
-    if priors_cfg is None:
-        priors = [
-            ("single_gaussian", GMMPrior.scalar([1.0], [3.0], [1.0])),
-            ("bimodal", GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])),
-        ]
-    else:
-        priors = []
-        for i, p in enumerate(priors_cfg):
-            label = p.get("label", f"prior_{i}") if isinstance(p, dict) else f"prior_{i}"
-            priors.append((label, _build_prior(p, f"config.bench.ebm.priors[{i}]")))
+    ebm = cfg["bench"]["ebm"]
+    sched, sampler_cfg = _schedule(cfg), SamplerConfig(**cfg["sampler"])
+    lang_cfg = _at("config.bench.ebm.langevin", LangevinConfig, **ebm["langevin"])
+    priors = [(p.get("label", f"prior_{i}"), _prior(p, f"config.bench.ebm.priors[{i}]"))
+              for i, p in enumerate(ebm["priors"])]
+    out = _out_dir(cfg)
 
     rows = []
     lines = []
     for label, prior in priors:
         report = bench_mod.ebm_equivalence_experiment(
-            prior, sched, lang_cfg, chains,
-            sampler_cfg=sampler_cfg, seed=seed, label=label,
+            prior, sched, lang_cfg, ebm["chains"],
+            sampler_cfg=sampler_cfg, seed=cfg["seed"], label=label,
         )
         row = report.rows[0]
         rows.append(row)
         lines.append((f"moment-equivalence-{label}", bool(row[8]),
                       f"|dmean|={row[6]:.4f} |dvar|/var={row[7]:.4f}"))
-    out = _out_dir(cfg, args)
-    fmt = "json" if args.json else "csv"
-    path = os.path.join(out, f"ebm.{fmt}")
-    bench_mod.write_report(bench_mod.EbmReport(rows), path, fmt)
-    print(f"wrote {path}")
+    _write_report(bench_mod.EbmReport(rows), out, "ebm", args)
     return _report_lines(lines)
 
 
 def cmd_train(cfg: dict, args, base_dir: str) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    sched = _build_schedule_block(cfg, args.T)
-    block = _expect_mapping(
-        cfg.get("training"), "config.training",
-        required=("prior",),
-        optional=("hidden", "embed", "learning_rate", "batch_size", "steps", "optimizer"),
+    block = _needed(cfg, "training", "needed by train")
+    sched = _schedule(cfg)
+    prior = _prior(block["prior"], "config.training.prior")
+    train_cfg = _at(
+        "config.training", training_mod.TrainConfig, seed=cfg["seed"],
+        **_pick(block, "learning_rate", "batch_size", "steps", "optimizer"),
     )
-    prior = _build_prior(block["prior"], "config.training.prior")
-    try:
-        train_cfg = training_mod.TrainConfig(
-            learning_rate=_number(block.get("learning_rate", 0.004), "config.training.learning_rate"),
-            batch_size=_integer(block.get("batch_size", 128), "config.training.batch_size"),
-            steps=_integer(block.get("steps", 20000), "config.training.steps"),
-            seed=seed,
-            optimizer=_string(block.get("optimizer", "adam"), "config.training.optimizer"),
-        )
-        model = training_mod.TinyDenoiser.init(
-            d=prior.dim,
-            T=sched.T,
-            hidden=_integer(block.get("hidden", 64), "config.training.hidden"),
-            embed_dim=_integer(block.get("embed", 8), "config.training.embed"),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.training: {exc}") from None
+    sizes = _pick(block, "hidden")
+    if "embed" in block:
+        sizes["embed_dim"] = block["embed"]
+    model = _at("config.training", training_mod.TinyDenoiser.init,
+                d=prior.dim, T=sched.T, seed=cfg["seed"], **sizes)
+    out = _out_dir(cfg)
 
     trained, trace = training_mod.train(model, prior, sched, train_cfg)
-    out = _out_dir(cfg, args)
     model_path = os.path.join(out, "model.params")
     training_mod.save_model(trained, model_path)
     trace_path = os.path.join(out, "loss_trace.csv")
@@ -489,13 +435,10 @@ def cmd_train(cfg: dict, args, base_dir: str) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict | None, args, base_dir: str) -> int:
+def cmd_verify(args) -> int:
     results = verify_mod.run_checks()
     if args.json:
-        print(json.dumps(
-            [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
-            indent=2, sort_keys=True,
-        ))
+        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2, sort_keys=True))
     else:
         width = max(len(r.name) for r in results)
         for r in results:
@@ -503,53 +446,55 @@ def cmd_verify(cfg: dict | None, args, base_dir: str) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="override the config seed")
-    shared.add_argument("--out", type=str, default=None, help="output directory")
-    shared.add_argument("--json", action="store_true", help="machine-readable output")
-    shared.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in session logs (non-deterministic)")
-    shared.add_argument("--method", choices=METHODS, default=None,
-                        help="override the reverse-step method")
-    shared.add_argument("--mask-mode", choices=MASK_MODES, default=None,
-                        help="override the mask enforcement mode")
-    shared.add_argument("--T", type=int, default=None,
-                        help="override the number of diffusion steps")
-    parser = argparse.ArgumentParser(
-        prog="latentedit",
-        description="Iterative multi-granular latent editing engine",
-        parents=[shared],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run-session", "bench-drift", "bench-locality", "bench-ebm", "train"):
-        p = sub.add_parser(name, parents=[shared])
-        p.add_argument("config", help="path to the JSON run config")
-    sub.add_parser("verify", parents=[shared])
-    return parser
-
-
-_COMMANDS = {
-    "run-session": cmd_run_session,
-    "bench-drift": cmd_bench_drift,
-    "bench-locality": cmd_bench_locality,
-    "bench-ebm": cmd_bench_ebm,
-    "train": cmd_train,
+# flag -> (config field it overrides, or None; argparse options)
+_FLAGS = {
+    "--seed": ("seed", {"type": int}),
+    "--out": ("out_dir", {}),
+    "--T": ("schedule.T", {"type": int}),
+    "--method": ("sampler.method", {"choices": METHODS}),
+    "--mask-mode": ("sampler.mask_mode", {"choices": MASK_MODES}),
+    "--json": (None, {"action": "store_true", "help": "machine-readable report"}),
+    "--timings": (None, {"action": "store_true", "help": "log per-edit wall-clock timings"}),
 }
+
+_EDITING = ("--seed", "--out", "--T", "--method")
+_COMMANDS = {
+    "run-session": (cmd_run_session, (*_EDITING, "--mask-mode", "--timings")),
+    "bench-drift": (cmd_bench_drift, (*_EDITING, "--json")),
+    "bench-locality": (cmd_bench_locality, (*_EDITING, "--json")),
+    "bench-ebm": (cmd_bench_ebm, (*_EDITING, "--json")),
+    "train": (cmd_train, ("--seed", "--out", "--T")),
+    "verify": (cmd_verify, ("--json",)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="latentedit", description="Iterative multi-granular latent editing engine")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        if name != "verify":
+            p.add_argument("config", help="path to the JSON run config")
+        for flag in flags:
+            field, options = _FLAGS[flag]
+            if field is not None:
+                options = {"dest": field, "help": f"override config.{field}", **options}
+            p.add_argument(flag, **options)
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command][0]
+    if args.command == "verify":
+        return command(args)
+    overrides = {field: getattr(args, field) for field, _ in _FLAGS.values()
+                 if field and getattr(args, field, None) is not None}
     try:
-        if args.command == "verify":
-            return cmd_verify(None, args, os.getcwd())
-        cfg = load_config(args.config)
-        base_dir = os.path.dirname(os.path.abspath(args.config))
-        return _COMMANDS[args.command](cfg, args, base_dir)
+        _, cfg = _read(args.config, overrides)
+        return command(cfg, args, os.path.dirname(os.path.abspath(args.config)))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except GridParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

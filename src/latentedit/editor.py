@@ -84,6 +84,13 @@ def open_session(
             f"image dims {image.h}x{image.w} not divisible by codec factor {k}"
         )
     lat_h, lat_w = image.h // k, image.w // k
+    for i, edit in enumerate(edits):
+        if edit.gain.size not in (1, image.c):
+            raise ValueError(f"edit {i} gain has {edit.gain.size} channels, latent has {image.c}")
+        if isinstance(edit.bias, LatentGrid) and edit.bias.shape != (lat_h, lat_w, image.c):
+            raise ValueError(
+                f"edit {i} bias grid is {edit.bias.shape}, latent is {(lat_h, lat_w, image.c)}"
+            )
     if masks is not None:
         masks = list(masks)
         if len(masks) != len(edits):

@@ -2,7 +2,7 @@
 
 Grid file format (text, bit-exact):
   line 1:   ``GRID h w c``  (ASCII, space-separated positive integers)
-  then:     exactly h*w*c whitespace-separated decimal floats, row-major
+  then:     exactly h*w*c whitespace-separated finite decimal floats, row-major
             (h outer, then w, then c).
 Masks use ``MASK h w`` followed by h*w values, each exactly 0 or 1.
 
@@ -12,6 +12,7 @@ up to 17 significant digits), so write->read is lossless.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -233,28 +234,36 @@ def _parse_header(tokens, path: str, magic: str, n_dims: int) -> tuple[int, ...]
                 f"{path}: line {lineno}: bad {magic} dimension {tok!r}"
             ) from None
     if any(d < 1 for d in fields):
-        raise GridParseError(f"{path}: line 1: dimensions must be positive, got {fields}")
+        raise GridParseError(f"{path}: line {lineno}: dimensions must be positive, got {fields}")
     return tuple(fields)
 
 
 def _parse_values(tokens, path: str, count: int) -> np.ndarray:
+    """Parse the next ``count`` tokens as finite floats."""
     values = np.empty(count)
     got = 0
     last_line = 1
-    for lineno, tok in tokens:
+    for lineno, tok in itertools.islice(tokens, count):
         last_line = lineno
-        if got >= count:
-            raise GridParseError(f"{path}: line {lineno}: expected {count} values, found more")
         try:
-            values[got] = float(tok)
+            value = float(tok)
         except ValueError:
             raise GridParseError(
                 f"{path}: line {lineno}: value {got + 1}: bad float {tok!r}"
             ) from None
+        if not math.isfinite(value):
+            raise GridParseError(f"{path}: line {lineno}: value {got + 1}: non-finite {tok!r}")
+        values[got] = value
         got += 1
     if got != count:
         raise GridParseError(f"{path}: line {last_line}: expected {count} values, got {got}")
     return values
+
+
+def _expect_end(tokens, path: str, count: int) -> None:
+    extra = next(tokens, None)
+    if extra is not None:
+        raise GridParseError(f"{path}: line {extra[0]}: expected {count} values, found more")
 
 
 def read_grid(path: str) -> LatentGrid:
@@ -262,6 +271,7 @@ def read_grid(path: str) -> LatentGrid:
     tokens = _read_tokens(path)
     h, w, c = _parse_header(tokens, path, "GRID", 3)
     values = _parse_values(tokens, path, h * w * c)
+    _expect_end(tokens, path, h * w * c)
     return LatentGrid(values.reshape(h, w, c))
 
 
@@ -279,6 +289,7 @@ def read_mask(path: str) -> Mask:
     tokens = _read_tokens(path)
     h, w = _parse_header(tokens, path, "MASK", 2)
     values = _parse_values(tokens, path, h * w)
+    _expect_end(tokens, path, h * w)
     if not np.isin(values, (0.0, 1.0)).all():
         raise GridParseError(f"{path}: mask values must be exactly 0 or 1")
     return Mask(values.reshape(h, w))

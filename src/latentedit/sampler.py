@@ -42,7 +42,6 @@ class SamplerConfig:
     method: str = "ddpm_full"
     mask_mode: str = "pin"
     add_final_noise: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import GMMPrior
-from .grid import LatentGrid, RngStream
+from .grid import GridParseError, LatentGrid, RngStream, _parse_header, _parse_values, _read_tokens
 from .sampler import DivergenceError
 from .schedule import NoiseSchedule
 
@@ -255,27 +255,17 @@ def save_model(model: TinyDenoiser, path: str) -> None:
 
 
 def load_model(path: str) -> TinyDenoiser:
-    from .grid import GridParseError
-
+    """Read a file written by ``save_model``; raises GridParseError with line context."""
     tensors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    pos = 0
-    while pos < len(tokens):
-        if tokens[pos] != "PARAM" or pos + 5 > len(tokens):
-            raise GridParseError(f"{path}: expected 'PARAM <name>' block at token {pos}")
-        name = tokens[pos + 1]
-        if tokens[pos + 2] != "GRID":
-            raise GridParseError(f"{path}: missing GRID header for parameter {name}")
-        rows, cols, chans = (int(v) for v in tokens[pos + 3 : pos + 6])
+    tokens = _read_tokens(path)
+    for lineno, word in tokens:
+        _, name = next(tokens, (lineno, None))
+        if word != "PARAM" or name is None:
+            raise GridParseError(f"{path}: line {lineno}: expected 'PARAM <name>' block")
+        rows, cols, chans = _parse_header(tokens, path, "GRID", 3)
         if chans != 1:
             raise GridParseError(f"{path}: parameter {name} must have c=1")
-        count = rows * cols
-        raw = tokens[pos + 6 : pos + 6 + count]
-        if len(raw) != count:
-            raise GridParseError(f"{path}: parameter {name}: expected {count} values")
-        tensors[name] = np.array([float(v) for v in raw]).reshape(rows, cols)
-        pos += 6 + count
+        tensors[name] = _parse_values(tokens, path, rows * cols).reshape(rows, cols)
     missing = {*PARAM_NAMES, "time_embed"} - tensors.keys()
     if missing:
         raise GridParseError(f"{path}: missing parameters {sorted(missing)}")

@@ -2,13 +2,16 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from latentedit.cli import main
+from latentedit.cli import _FIELDS, load_config, main
 from latentedit.fixtures import load_fixture
-from latentedit.grid import read_grid, write_grid, write_mask, Mask
+from latentedit.grid import read_grid, write_grid, write_mask, LatentGrid, Mask
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -167,6 +170,13 @@ class TestBenchCommands:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 3  # header + two priors
 
+    def test_drift_with_fewer_than_four_steps(self, workspace, capsys):
+        cfg = base_config(extra={"bench": {"drift": {
+            "steps": 3, "strategies": ["latent_iteration", "image_iteration"]}}})
+        config = write_config(workspace, cfg)
+        assert main(["bench-drift", config, "--out", str(workspace / "d3")]) == 0
+        assert "step-4" not in capsys.readouterr().out
+
     def test_unknown_bench_name_is_usage_error(self, workspace):
         config = write_config(workspace, base_config())
         with pytest.raises(SystemExit) as excinfo:
@@ -287,6 +297,12 @@ class TestConfigValidation:
         assert main(["run-session", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": 1, "out_dir": "\xff"}')
+        assert main(["run-session", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_missing_seed(self, tmp_path, capsys):
         config = write_config(tmp_path, {"session": {}})
         assert main(["run-session", config]) == 2
@@ -304,3 +320,85 @@ class TestConfigValidation:
         config = write_config(workspace, cfg)
         assert main(["run-session", config]) == 2
         assert "either bias or bias_file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, change, pattern", [
+        ("run-session", {"session": {"input": "nan.grid"}},
+         r"config\.session\.input: .*nan\.grid: line 3: .*non-finite"),
+        ("run-session", {"session": {"edits": [{"id": "x", "bias_file": "small.grid"}]}},
+         r"config\.session: edit 0 bias grid"),
+        ("run-session", {"session": {"edits": [{"id": "x", "gain": [1.0, 0.9]}]}},
+         r"config\.session: edit 0 gain has 2 channels"),
+        ("bench-drift", {"bench": {"drift": {"steps": 1}}}, r"config\.bench\.drift\.steps: "),
+        ("bench-ebm", {"bench": {"ebm": {"chains": 0}}}, r"config\.bench\.ebm\.chains: "),
+        ("bench-drift", {"bench": {"drift": {"strategies": "latent_iteration"}}},
+         r"config\.bench\.drift\.strategies: expected a list"),
+        ("bench-ebm", {"bench": {"ebm": {"priors": {"weights": [1.0], "means": [0.0],
+                                                    "scales": [1.0]}}}},
+         r"config\.bench\.ebm\.priors: expected a list"),
+        ("bench-drift", {"bench": {"drift": {"strategies": []}}},
+         r"config\.bench\.drift\.strategies: expected a nonempty list"),
+        ("bench-locality", {"bench": {"fixture": "small.grid"}},
+         r"config\.bench\.fixture: .*not divisible"),
+        ("bench-locality", {"bench": {"locality": {"mask": "small.mask"}}},
+         r"config\.bench\.locality: mask 0 is 2x2"),
+        ("run-session", {"codec": {"clamp": float("nan")}}, r"config\.codec\.clamp: expected a"),
+        ("run-session", {"codec": {"clamp": 10**400}}, r"config\.codec\.clamp: expected a"),
+        ("run-session", {"out_dir": "small.grid"}, r"config\.out_dir: "),
+    ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
+            "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
+            "locality-mask-shape",
+            "nan-number", "huge-integer", "out-dir-is-a-file"])
+    def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
+        (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
+        write_grid(LatentGrid(np.zeros((3, 3, 1))), str(workspace / "small.grid"))
+        write_mask(Mask.ones(2, 2), str(workspace / "small.mask"))
+        cfg = base_config()
+        for key, value in change.items():
+            cfg[key] = {**cfg[key], **value} if key in cfg and isinstance(value, dict) else value
+        config = write_config(workspace, cfg)
+        assert main([command, config, "--out", str(workspace / cfg["out_dir"])]) == 2
+        assert re.search(pattern, capsys.readouterr().err)
+
+    def test_flags_before_the_command_are_usage_errors(self, workspace):
+        config = write_config(workspace, base_config())
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--seed", "99", "run-session", config])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["train", "c.json", "--json"], ["verify", "--T", "5"],
+                                      ["bench-ebm", "c.json", "--mask-mode", "gate"]],
+                             ids=["train-json", "verify-T", "ebm-mask-mode"])
+    def test_commands_reject_flags_they_do_not_read(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_override_is_checked_like_the_field(self, workspace, capsys):
+        config = write_config(workspace, base_config())
+        assert main(["run-session", config, "--T", "0"]) == 2
+        assert "config.schedule: T must be a positive integer" in capsys.readouterr().err
+
+    def test_readme_schema_is_accepted(self, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = re.sub(r"//.*", "", block)
+        for name in re.findall(r'"([\w.]+\.(?:grid|mask))"', doc):
+            if name.endswith(".mask"):
+                write_mask(Mask.ones(18, 18), str(tmp_path / name))
+            else:
+                write_grid(load_fixture(), str(tmp_path / name))
+        path = write_config(tmp_path, json.loads(doc))
+        assert load_config(path) == json.loads(doc)
+
+        def fields(node, prefix):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield prefix + key
+                    yield from fields(value, prefix + key + ".")
+            elif isinstance(node, list):
+                for value in node:
+                    yield from fields(value, prefix[:-1] + "[].")
+
+        documented = set(fields(json.loads(doc), ""))
+        assert {f for f in _FIELDS if f and not f.endswith("[]")} <= documented

@@ -52,6 +52,14 @@ class TestOpenSession:
             open_session(fixture_image, [identity()], [Mask.ones(36, 36)],
                          **session_kwargs, seed=3)
 
+    @pytest.mark.parametrize("edit, message", [
+        (EditInstruction(id="g", gain=[1.0, 1.1]), "edit 0 gain has 2 channels, latent has 1"),
+        (EditInstruction(id="b", bias=LatentGrid.constant(0.1, 36, 36, 1)), "edit 0 bias grid"),
+    ], ids=["gain-length", "bias-shape"])
+    def test_edit_shape_must_match_latent(self, fixture_image, session_kwargs, edit, message):
+        with pytest.raises(ValueError, match=message):
+            open_session(fixture_image, [edit], **session_kwargs, seed=3)
+
     def test_unknown_strategy(self, fixture_image, session_kwargs):
         with pytest.raises(ValueError, match="strategy"):
             open_session(fixture_image, [identity()], **session_kwargs,

@@ -198,6 +198,13 @@ class TestGridIO:
         with pytest.raises(GridParseError, match="line 3.*value 2.*bogus"):
             read_grid(path)
 
+    def test_non_finite_value_reports_position(self, tmp_path):
+        path = str(tmp_path / "bad.grid")
+        with open(path, "w") as fh:
+            fh.write("GRID 1 2 1\n1.0\ninf\n")
+        with pytest.raises(GridParseError, match="line 3.*value 2.*non-finite 'inf'"):
+            read_grid(path)
+
     def test_wrong_magic(self, tmp_path):
         path = str(tmp_path / "bad.grid")
         with open(path, "w") as fh:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from latentedit.denoiser import GMMPrior
-from latentedit.grid import LatentGrid, RngStream
+from latentedit.grid import GridParseError, LatentGrid, RngStream
 from latentedit.sampler import DivergenceError, SamplerConfig, sample_chains
 from latentedit.schedule import build_schedule
 from latentedit.training import (
@@ -217,6 +217,13 @@ class TestSerialization:
         with open(path, "w") as fh:
             fh.write("PARAM W1\nGRID 1 2 1\n0.0 0.0\n")
         with pytest.raises(Exception, match="missing parameters"):
+            load_model(path)
+
+    def test_bad_header_reports_line(self, tmp_path):
+        path = str(tmp_path / "model.params")
+        with open(path, "w") as fh:
+            fh.write("PARAM W1\nGRID x 2 1\n0.0 0.0\n")
+        with pytest.raises(GridParseError, match="line 2: bad GRID dimension 'x'"):
             load_model(path)
 
 

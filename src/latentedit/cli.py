@@ -351,6 +351,9 @@ def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
     loc = cfg["bench"]["locality"]
     core = _core(cfg)
     fixture = _bench_fixture(cfg, base_dir, core)
+    if "mask" in loc["edit"]:
+        raise ConfigError("config.bench.locality.edit.mask: the locality bench does not read "
+                          "an edit mask; give it as config.bench.locality.mask")
     edit, _ = _edit(loc["edit"], "config.bench.locality.edit", base_dir)
     if loc.get("mask") is not None:
         mask = _at("config.bench.locality.mask", read_mask, os.path.join(base_dir, loc["mask"]))

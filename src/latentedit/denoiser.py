@@ -11,6 +11,7 @@ moments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,25 @@ def _check_t(t: int, sched: NoiseSchedule) -> None:
         raise ValueError(f"timestep {t} out of range [1, {sched.T}]")
 
 
+def _row_sum(cols: list) -> np.ndarray:
+    """Elementwise sum of equal-length columns in the order numpy's ``sum``
+    adds a contiguous row (sequential below 8 terms, then 8 interleaved
+    accumulators, halved above 128), so it equals
+    ``np.stack(cols, axis=1).sum(axis=1)`` bit for bit."""
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _row_sum(cols[:half]) + _row_sum(cols[half:])
+    if n < 8:
+        return functools.reduce(np.add, cols)
+    acc = list(cols[:8])
+    body = n - n % 8
+    for i in range(8, body):
+        acc[i % 8] = acc[i % 8] + cols[i]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    return functools.reduce(np.add, cols[body:], total)
+
+
 def _gmm_score_flat(
     z: np.ndarray,
     mean_mat: np.ndarray,
@@ -190,18 +210,20 @@ def _gmm_score_flat(
     computed in log space with max subtraction, so the result stays finite
     for |z| up to about 1e3.
     """
-    m, dim = z.shape
+    dim = z.shape[1]
     diff = z[:, None, :] - mean_mat[None, :, :]  # (m, K, D)
     ssq = np.einsum("mkd,mkd->mk", diff, diff)
-    log_resp = (
-        np.log(weights)[None, :]
-        - 0.5 * dim * np.log(2.0 * np.pi * variances)[None, :]
-        - ssq / (2.0 * variances)[None, :]
-    )
-    log_resp -= log_resp.max(axis=1, keepdims=True)
-    resp = np.exp(log_resp)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return -np.einsum("mk,mkd->md", resp / variances[None, :], diff)
+    # Per component (column), not over an axis of length K: the same
+    # operations in the same order, so bit-identical to the (m, K) form.
+    const = np.log(weights) - 0.5 * dim * np.log(2.0 * np.pi * variances)
+    log_resp = [const[k] - ssq[:, k] / (2.0 * variances[k]) for k in range(len(weights))]
+    peak = log_resp[0]
+    for col in log_resp[1:]:
+        peak = np.maximum(peak, col)
+    resp = [np.exp(col - peak) for col in log_resp]
+    total = _row_sum(resp)
+    weighted = np.stack([col / total / variances[k] for k, col in enumerate(resp)], axis=1)
+    return -np.einsum("mk,mkd->md", weighted, diff)
 
 
 def gmm_eps_flat(
@@ -269,21 +291,29 @@ def edit_conditional_eps(
     The conditional target is N(mu_y, s_y^2 I) with mu_y = gain*z_src + bias,
     giving eps = sqrt(1-abar) * (z_t - sqrt(abar) mu_y) / (abar s_y^2 + 1-abar).
     """
-    if z_t.shape != z_src.shape:
-        raise ValueError(f"latent {z_t.shape} does not match source {z_src.shape}")
+    return _target_eps(z_t, t, edit.target_mean(z_src), edit.target_scale, sched)
+
+
+def _target_eps(
+    z_t: LatentGrid, t: int, mu: LatentGrid, target_scale: float, sched: NoiseSchedule
+) -> LatentGrid:
+    """``edit_conditional_eps`` for an already computed target mean mu_y."""
+    if z_t.shape != mu.shape:
+        raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
     _check_t(t, sched)
     abar = sched.alpha_bar[t - 1]
-    mu = edit.target_mean(z_src)
-    denom = abar * edit.target_scale**2 + (1.0 - abar)
+    denom = abar * target_scale**2 + (1.0 - abar)
     out = np.sqrt(1.0 - abar) * (z_t.data - np.sqrt(abar) * mu.data) / denom
     return LatentGrid(out)
 
 
 def edit_denoiser(edit: EditInstruction, z_src: LatentGrid, sched: NoiseSchedule):
-    """Denoiser callable conditioned on (z_src, edit)."""
+    """Denoiser callable conditioned on (z_src, edit); the target mean is
+    computed once, not at every step."""
+    mu = edit.target_mean(z_src)
 
     def predict(z_t: LatentGrid, t: int) -> LatentGrid:
-        return edit_conditional_eps(z_t, t, edit, z_src, sched)
+        return _target_eps(z_t, t, mu, edit.target_scale, sched)
 
     return predict
 

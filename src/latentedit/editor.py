@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import codec as codec_mod
 from . import sampler as sampler_mod
 from .codec import CodecConfig
@@ -29,6 +31,9 @@ from .schedule import NoiseSchedule
 STRATEGIES = ("latent_iteration", "image_iteration", "concat_instructions", "blur_baseline")
 
 RENORM_MEAN_FLOOR = 1e-8
+# |mean| below this fraction of the latent's RMS also disables scaling: there
+# the round-trip's own mean error would dominate the factor r / d.
+RENORM_MEAN_REL_FLOOR = 0.05
 
 
 class SessionExhausted(ValueError):
@@ -116,7 +121,8 @@ def open_session(
 def renormalize_latent(z: LatentGrid, codec_cfg: CodecConfig) -> LatentGrid:
     """Rescale z so its mean matches the mean of one decode/encode round-trip
     of itself.  The round-trip is used only for that scalar; the latent values
-    themselves are never replaced.  Means below the floor disable scaling."""
+    themselves are never replaced.  Means below the absolute floor, or small
+    against the latent's RMS, disable scaling (factor 1)."""
     out, _ = _renormalize_with_factor(z, codec_cfg)
     return out
 
@@ -125,7 +131,9 @@ def _renormalize_with_factor(
     z: LatentGrid, codec_cfg: CodecConfig
 ) -> tuple[LatentGrid, float]:
     d = mean_stat(z)
-    if abs(d) < RENORM_MEAN_FLOOR:
+    if abs(d) < RENORM_MEAN_FLOOR or (
+        abs(d) < RENORM_MEAN_REL_FLOOR * np.sqrt(np.mean(z.data**2))
+    ):
         return z, 1.0
     r = mean_stat(codec_mod.encode(codec_mod.decode(z, codec_cfg), codec_cfg))
     f = r / d

@@ -138,41 +138,96 @@ class RngStream:
     splitmix64, so spawned streams are statistically independent and never
     consume state from their parent.  Normals come from the Box-Muller
     transform over Philox uniform doubles; both are fixed integer/float
-    recipes, so the same seed yields bit-identical sequences on every
-    platform.  Each ``normal`` call consumes ``2 * ceil(n / 2)`` uniforms.
+    recipes, so the same seed yields the same sequence on every platform
+    (up to the platform's transcendental functions; see the README).  Each
+    ``normal`` call consumes ``2 * ceil(n / 2)`` uniforms.  The numpy
+    generator is built on the first draw, so a stream used only for its
+    ``key`` costs no generator.
     """
 
-    def __init__(self, seed: int, _path: tuple[int, ...] = ()):
+    def __init__(self, seed: int, _key: int | None = None):
         self.seed = int(seed) & _MASK64
-        self._path = tuple(int(p) & _MASK64 for p in _path)
-        key = _splitmix64(self.seed)
-        for part in self._path:
-            key = _splitmix64(key ^ _splitmix64(part))
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self.key = _splitmix64(self.seed) if _key is None else _key
+        self._gen = None
         self.position = 0
 
     def spawn(self, *path: int | str) -> "RngStream":
         """Derive an independent stream; does not advance this stream."""
-        parts = tuple(_fnv1a64(p) if isinstance(p, str) else int(p) for p in path)
-        return RngStream(self.seed, self._path + parts)
+        key = self.key
+        for p in path:
+            part = _fnv1a64(p) if isinstance(p, str) else int(p) & _MASK64
+            key = _splitmix64(key ^ _splitmix64(part))
+        return RngStream(self.seed, _key=key)
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1)."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=self.key))
         out = self._gen.random(size=shape)
         self.position += int(np.size(out))
         return out
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard normal draws via Box-Muller (log uses 1-u in (0, 1])."""
-        n = int(np.prod(shape)) if shape != () else 1
-        m = (n + 1) // 2
-        u = self.uniform((2, m))
-        radius = np.sqrt(-2.0 * np.log1p(-u[0]))
-        angle = 2.0 * math.pi * u[1]
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+        """Standard normal draws via Box-Muller (see ``_box_muller``)."""
+        n = math.prod(shape)
+        z = _box_muller(self.uniform((2 * ((n + 1) // 2),)), n)
         if shape == ():
             return z[0]
         return z.reshape(shape)
+
+
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """n standard normals from 2 * ceil(n / 2) uniforms along the last axis.
+
+    The first half of the uniforms give radii (log uses 1-u in (0, 1]), the
+    second half angles; the cosines come first, then the sines.
+    """
+    m = (n + 1) // 2
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
+    angle = 2.0 * math.pi * u[..., m : 2 * m]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
+
+
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)  # bits in a half word
+
+
+def _mulhilo64(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> _HALF
+    b_lo, b_hi = b & _LO32, b >> _HALF
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _HALF) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * b_hi + (lh >> _HALF) + (hl >> _HALF) + (mid >> _HALF), a * b
+
+
+def _philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of ``RngStream``-style Philox4x64-10
+    streams, one row per key: row i equals
+    ``Generator(Philox(key=keys[i])).random(count)`` bit for bit.
+
+    Block b of a stream is Philox4x64-10 of counter (b + 1, 0, 0, 0) (numpy
+    increments the counter before generating) under key (keys[i], 0); its
+    four 64-bit words give four uniforms ``(x >> 11) * 2**-53``.  See Salmon
+    et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11.
+    """
+    blocks = (count + 3) // 4
+    shape = (len(keys), blocks)
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    k0 = np.asarray(keys, dtype=np.uint64)[:, None]
+    k1 = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo64(x0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo64(x2, _PHILOX_M[1])
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def gaussian_grid(rng: RngStream, h: int, w: int, c: int) -> LatentGrid:
@@ -279,10 +334,14 @@ def write_grid(g: LatentGrid, path: str) -> None:
     """Write a GRID file, one image row per line, lossless float formatting."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"GRID {g.h} {g.w} {g.c}\n")
-        rows = g.data.reshape(g.h, g.w * g.c)
-        for row in rows:
-            fh.write(" ".join(repr(v) for v in row.tolist()))
-            fh.write("\n")
+        _write_rows(fh, g.data.reshape(g.h, g.w * g.c))
+
+
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """The value lines of a GRID block: one line per row of a 2-d array."""
+    for row in rows:
+        fh.write(" ".join(repr(v) for v in row.tolist()))
+        fh.write("\n")
 
 
 def read_mask(path: str) -> Mask:

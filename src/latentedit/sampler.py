@@ -26,11 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import LatentGrid, Mask, RngStream, gaussian_grid, masked_combine
+from .grid import (
+    LatentGrid, Mask, RngStream, _box_muller, _philox_uniforms, gaussian_grid, masked_combine,
+)
 from .schedule import NoiseSchedule
 
 METHODS = ("ddpm_full", "ddpm_literal", "euler_ancestral")
 MASK_MODES = ("gate", "pin", "direction")
+_CHAIN_BLOCK = 256  # chains whose noise is drawn together; bounds sample_chains' scratch memory
 
 
 class DivergenceError(RuntimeError):
@@ -241,7 +244,9 @@ def sample_chains(
     ``chain_denoiser`` maps a length-n vector and a timestep to per-entry
     predictions.  Each chain's noise comes from its own stream spawned from
     ``rng`` (chain index as the derivation path), so results do not depend on
-    how the batch is partitioned or parallelized.
+    how the batch is partitioned or parallelized.  The streams are drawn a
+    block of chains at a time in one vectorized Philox pass, bit-identical to
+    drawing each stream on its own.
 
     By default chains start at z_T ~ N(0, 1).  When ``prior_init`` is a
     scalar mixture prior, chains instead start at the exact noised marginal
@@ -256,13 +261,16 @@ def sample_chains(
     if matched and prior_init.dim != 1:
         raise ValueError("prior-matched init requires a scalar (1x1x1) prior")
     draws = sched.T + (2 if matched else 1)
+    lead = 1 if matched else 0  # the component uniform precedes the normals
     noise = np.empty((n, draws))
     comp_u = np.empty(n) if matched else None
-    for i in range(n):
-        stream = rng.spawn("chain", i)
+    for lo in range(0, n, _CHAIN_BLOCK):
+        hi = min(n, lo + _CHAIN_BLOCK)
+        keys = np.array([rng.spawn("chain", i).key for i in range(lo, hi)], dtype=np.uint64)
+        u = _philox_uniforms(keys, lead + 2 * ((draws + 1) // 2))
         if matched:
-            comp_u[i] = stream.uniform(())
-        noise[i] = stream.normal((draws,))
+            comp_u[lo:hi] = u[:, 0]
+        noise[lo:hi] = _box_muller(u[:, lead:], draws)
     if matched:
         abar_T = float(sched.alpha_bar[-1])
         cdf = np.cumsum(prior_init.weights)

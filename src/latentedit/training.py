@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import GMMPrior
-from .grid import GridParseError, LatentGrid, RngStream, _parse_header, _parse_values, _read_tokens
+from .grid import (
+    GridParseError, LatentGrid, RngStream, _parse_header, _parse_values, _read_tokens, _write_rows,
+)
 from .sampler import DivergenceError
 from .schedule import NoiseSchedule
 
@@ -249,9 +251,7 @@ def save_model(model: TinyDenoiser, path: str) -> None:
             mat = arr if arr.ndim == 2 else arr[None, :]
             fh.write(f"PARAM {name}\n")
             fh.write(f"GRID {mat.shape[0]} {mat.shape[1]} 1\n")
-            for row in mat:
-                fh.write(" ".join(repr(v) for v in row.tolist()))
-                fh.write("\n")
+            _write_rows(fh, mat)
 
 
 def load_model(path: str) -> TinyDenoiser:

@@ -341,12 +341,14 @@ class TestConfigValidation:
          r"config\.bench\.fixture: .*not divisible"),
         ("bench-locality", {"bench": {"locality": {"mask": "small.mask"}}},
          r"config\.bench\.locality: mask 0 is 2x2"),
+        ("bench-locality", {"bench": {"locality": {"edit": {"id": "e", "mask": "small.mask"}}}},
+         r"config\.bench\.locality\.edit\.mask: .*config\.bench\.locality\.mask"),
         ("run-session", {"codec": {"clamp": float("nan")}}, r"config\.codec\.clamp: expected a"),
         ("run-session", {"codec": {"clamp": 10**400}}, r"config\.codec\.clamp: expected a"),
         ("run-session", {"out_dir": "small.grid"}, r"config\.out_dir: "),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
-            "locality-mask-shape",
+            "locality-mask-shape", "locality-edit-mask",
             "nan-number", "huge-integer", "out-dir-is-a-file"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")

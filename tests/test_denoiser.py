@@ -9,9 +9,12 @@ from latentedit.denoiser import (
     EditInstruction,
     GMMEnergy,
     GMMPrior,
+    _gmm_score_flat,
+    _row_sum,
     bayes_loss_estimate,
     compose_edits,
     edit_conditional_eps,
+    edit_denoiser,
     gmm_chain_eps,
     gmm_denoiser,
     gmm_eps,
@@ -53,6 +56,34 @@ def numerical_log_q_gradient(z: LatentGrid, t, prior, sched, step=1e-4):
         down[i] -= step
         grad[i] = (log_qt(up) - log_qt(down)) / (2 * step)
     return grad
+
+
+def reference_score(z, mean_mat, weights, variances):
+    """``_gmm_score_flat`` as it was written over the (m, K) axis, kept as
+    the bit-exact oracle for the per-component form."""
+    m, dim = z.shape
+    diff = z[:, None, :] - mean_mat[None, :, :]
+    ssq = np.einsum("mkd,mkd->mk", diff, diff)
+    log_resp = (
+        np.log(weights)[None, :]
+        - 0.5 * dim * np.log(2.0 * np.pi * variances)[None, :]
+        - ssq / (2.0 * variances)[None, :]
+    )
+    log_resp -= log_resp.max(axis=1, keepdims=True)
+    resp = np.exp(log_resp)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return -np.einsum("mk,mkd->md", resp / variances[None, :], diff)
+
+
+def random_mixture(seed, m, k, d):
+    gen = np.random.default_rng(seed)
+    weights = gen.uniform(0.1, 1.0, k)
+    return (
+        gen.normal(size=(m, d)) * gen.uniform(0.1, 10.0),
+        gen.normal(size=(k, d)) * 2.0,
+        weights / weights.sum(),
+        gen.uniform(0.01, 3.0, k),
+    )
 
 
 class TestGmmEps:
@@ -211,6 +242,21 @@ class TestEditConditional:
         with pytest.raises(ValueError, match="does not match latent"):
             bad.target_mean(z_src)
 
+    def test_denoiser_computes_target_mean_once(self, sched50, monkeypatch):
+        stream = RngStream(6)
+        z_src = LatentGrid(stream.normal((3, 3, 2)))
+        z_t = LatentGrid(stream.normal((3, 3, 2)))
+        edit = EditInstruction(id="e", gain=[1.1, 0.9], bias=0.2, target_scale=0.3)
+        expected = [edit_conditional_eps(z_t, t, edit, z_src, sched50).data for t in (50, 7, 1)]
+        calls = []
+        target_mean = EditInstruction.target_mean
+        monkeypatch.setattr(EditInstruction, "target_mean",
+                            lambda self, z: calls.append(z) or target_mean(self, z))
+        predict = edit_denoiser(edit, z_src, sched50)
+        got = [predict(z_t, t).data for t in (50, 7, 1)]
+        assert len(calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="target_scale"):
             EditInstruction(id="bad", target_scale=-0.1)
@@ -273,6 +319,25 @@ class TestBayesLoss:
     def test_zero_samples_rejected(self, sched200):
         with pytest.raises(ValueError, match=">= 1"):
             bayes_loss_estimate(scalar_prior([1.0], [0.0], [1.0]), sched200, 0, RngStream(1))
+
+
+class TestScoreBitExact:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), k=st.integers(1, 5),
+           d=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_per_component_score_equals_axis_form(self, seed, m, k, d):
+        args = random_mixture(seed, m, k, d)
+        assert np.array_equal(_gmm_score_flat(*args), reference_score(*args))
+
+    @pytest.mark.parametrize("k", [8, 9, 17, 130])
+    def test_many_components_equal_axis_form(self, k):
+        args = random_mixture(k, 25, k, 2)
+        assert np.array_equal(_gmm_score_flat(*args), reference_score(*args))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 23, 128, 129, 300])
+    def test_row_sum_follows_numpy_order(self, n):
+        rows = np.exp(np.random.default_rng(n).normal(size=(30, n)) * 5.0)
+        assert np.array_equal(_row_sum([rows[:, i] for i in range(n)]), rows.sum(axis=1))
 
 
 class TestGMMEnergy:

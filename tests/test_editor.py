@@ -6,6 +6,7 @@ import pytest
 from latentedit.codec import encode
 from latentedit.denoiser import EditInstruction
 from latentedit.editor import (
+    RENORM_MEAN_FLOOR,
     STRATEGIES,
     SessionExhausted,
     apply_edit,
@@ -122,6 +123,15 @@ class TestRenormalize:
 
     def test_near_zero_mean_disables_scaling(self, codec_cfg):
         z = LatentGrid.constant(3e-9, 4, 4, 1)
+        out = renormalize_latent(z, codec_cfg)
+        np.testing.assert_array_equal(out.data, z.data)
+
+    def test_mean_small_against_spread_disables_scaling(self, codec_cfg):
+        # Zero-centred latent plus 1e-6: above the absolute floor, but the
+        # round-trip's mean error would turn r / d into a factor of ~1e3.
+        g = RngStream(0).normal((18, 18, 1))
+        z = LatentGrid(g - g.mean() + 1e-6)
+        assert abs(mean_stat(z)) > RENORM_MEAN_FLOOR
         out = renormalize_latent(z, codec_cfg)
         np.testing.assert_array_equal(out.data, z.data)
 

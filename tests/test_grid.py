@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentedit.grid import (
@@ -10,6 +10,7 @@ from latentedit.grid import (
     LatentGrid,
     Mask,
     RngStream,
+    _philox_uniforms,
     gaussian_grid,
     masked_combine,
     mean_stat,
@@ -98,6 +99,24 @@ class TestRngStream:
     def test_gaussian_grid_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="positive"):
             gaussian_grid(RngStream(1), 0, 4, 1)
+
+    def test_nested_spawn_equals_one_spawn_with_the_whole_path(self):
+        a = RngStream(7)
+        nested = a.spawn("chain").spawn(3)
+        assert nested.key == a.spawn("chain", 3).key
+        assert np.array_equal(nested.normal((5,)), a.spawn("chain", 3).normal((5,)))
+
+    @given(
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        count=st.integers(1, 45),
+    )
+    @example(keys=[0, 2**64 - 1], count=7)
+    @settings(max_examples=60, deadline=None)
+    def test_multi_key_philox_matches_numpy_per_key(self, keys, count):
+        got = _philox_uniforms(np.array(keys, dtype=np.uint64), count)
+        for key, row in zip(keys, got):
+            expected = np.random.Generator(np.random.Philox(key=key)).random(count)
+            assert np.array_equal(row, expected)
 
 
 class TestStats:

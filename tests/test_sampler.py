@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import StubRng
 from latentedit.denoiser import (
@@ -25,6 +27,8 @@ from latentedit.sampler import (
     noise_to,
     reverse_step,
     sample,
+    _CHAIN_BLOCK,
+    _reverse_kernel,
     sample_chains,
 )
 from latentedit.schedule import NoiseSchedule, build_schedule
@@ -38,6 +42,33 @@ def manual_schedule(betas):
         T=len(betas), beta=betas, alpha=alpha,
         alpha_bar=np.cumprod(alpha), sigma=np.sqrt(betas),
     )
+
+
+def reference_chains(chain_denoiser, n, sched, cfg, rng, prior_init=None):
+    """``sample_chains`` drawing each chain's stream on its own, one chain at a time."""
+    matched = prior_init is not None
+    draws = sched.T + (2 if matched else 1)
+    noise = np.empty((n, draws))
+    comp_u = np.empty(n)
+    for i in range(n):
+        stream = rng.spawn("chain", i)
+        if matched:
+            comp_u[i] = stream.uniform(())
+        noise[i] = stream.normal((draws,))
+    if matched:
+        abar_T = float(sched.alpha_bar[-1])
+        comp = np.minimum(np.searchsorted(np.cumsum(prior_init.weights), comp_u, side="right"),
+                          prior_init.k - 1)
+        z0 = prior_init.mean_matrix()[comp, 0] + prior_init.scales[comp] * noise[:, 0]
+        z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
+        step_noise = noise[:, 2:]
+    else:
+        z = noise[:, 0].copy()
+        step_noise = noise[:, 1:]
+    for t in range(sched.T, 0, -1):
+        z = _reverse_kernel(z, t, chain_denoiser(z, t), step_noise[:, sched.T - t], sched,
+                            cfg.method, cfg.add_final_noise)
+    return z
 
 
 class TestForwardStep:
@@ -257,6 +288,47 @@ class TestSample:
         for z in chains.values():
             assert abs(z.mean() - 3.0) < 0.1
             assert abs(z.var() - 1.0) < 0.1
+
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        T=st.integers(1, 9),
+        k=st.integers(1, 3),
+        matched=st.booleans(),
+        method=st.sampled_from(["ddpm_full", "euler_ancestral"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chains_equal_per_chain_reference(self, n, seed, T, k, matched, method):
+        sched = build_schedule("linear", T, 1e-3, 0.2)
+        prior = GMMPrior.scalar(np.full(k, 1.0 / k), np.linspace(-2.0, 2.0, k), np.full(k, 0.5))
+        cfg = SamplerConfig(method=method)
+        init = prior if matched else None
+        got = sample_chains(gmm_chain_denoiser(prior, sched), n, sched, cfg, RngStream(seed),
+                            prior_init=init)
+        expected = reference_chains(gmm_chain_denoiser(prior, sched), n, sched, cfg,
+                                    RngStream(seed), prior_init=init)
+        assert np.array_equal(got, expected)
+
+    def test_chains_across_block_boundary_equal_reference(self, sched50):
+        prior = GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])
+        n = _CHAIN_BLOCK + 3
+        args = (gmm_chain_denoiser(prior, sched50), n, sched50, SamplerConfig(), RngStream(5))
+        assert np.array_equal(sample_chains(*args, prior_init=prior),
+                              reference_chains(*args, prior_init=prior))
+
+    def test_chains_build_no_generator_per_chain(self, sched50, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        prior = GMMPrior.scalar([1.0], [0.0], [1.0])
+        sample_chains(gmm_chain_denoiser(prior, sched50), 64, sched50, SamplerConfig(),
+                      RngStream(2), prior_init=prior)
+        assert built == []
 
     def test_chain_count_validation(self, sched200):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])

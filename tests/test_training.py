@@ -30,6 +30,29 @@ GOLDEN_FORWARD = [
 ]
 
 
+# save_model's file for TinyDenoiser.init(d=1, T=3, hidden=2, embed_dim=2, seed=7).
+GOLDEN_MODEL_FILE = """\
+PARAM W1
+GRID 2 3 1
+-0.40979389535581157 0.005409050837461697 -0.5397317113084499
+0.22233452564512068 0.35298899483087004 -0.8010213053161698
+PARAM b1
+GRID 1 2 1
+0.0 0.0
+PARAM W2
+GRID 1 2 1
+0.35583978881825845 0.8966870220562198
+PARAM b2
+GRID 1 1 1
+0.0
+PARAM time_embed
+GRID 3 2 1
+0.8414709848078965 0.5403023058681398
+0.9092974268256817 -0.4161468365471424
+0.1411200080598672 -0.9899924966004454
+"""
+
+
 def zero_model(d=2, T=10, hidden=4, embed=4):
     model = TinyDenoiser.init(d=d, T=T, hidden=hidden, embed_dim=embed, seed=0)
     for name in PARAM_NAMES:
@@ -211,6 +234,12 @@ class TestSerialization:
             assert np.array_equal(getattr(model, name), getattr(back, name))
         z = LatentGrid.constant(0.4, 3, 1, 1)
         assert np.array_equal(forward(model, z, 5).data, forward(back, z, 5).data)
+
+    def test_file_is_byte_identical_to_golden(self, tmp_path):
+        path = str(tmp_path / "model.params")
+        save_model(TinyDenoiser.init(d=1, T=3, hidden=2, embed_dim=2, seed=7), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == GOLDEN_MODEL_FILE.encode("ascii")
 
     def test_missing_parameter_detected(self, tmp_path):
         path = str(tmp_path / "model.params")

@@ -63,14 +63,21 @@ def _one_bias(value, base_dir):
         return "give either bias or bias_file, not both"
 
 
+def _no_edit_mask(value, base_dir):
+    if "mask" in value:
+        return ("mask", "the locality bench does not read an edit mask; "
+                        "give it as config.bench.locality.mask")
+
+
 _PRIOR_SINGLE = {"label": "single_gaussian", "weights": [1.0], "means": [3.0], "scales": [1.0]}
 _PRIOR_BIMODAL = {"label": "bimodal", "weights": [0.5, 0.5], "means": [-2.0, 2.0],
                   "scales": [0.25, 0.25]}
 
 # Every config field: path -> (type, default, check).  "x[]" is an item of the
-# list x; a type given as a path means "same fields as that path".  A default
-# of None leaves the field out when absent, so the library's default applies.
-# A check returns an error message or None.
+# list x; a type given as a path means "same fields and check as that path",
+# and the field's own check runs after that path's.  A default of None leaves
+# the field out when absent, so the library's default applies.  A check
+# returns None, an error message, or (key, message) for an error at that key.
 _FIELDS = {
     "": (dict, _REQUIRED, None),
     "seed": (int, _REQUIRED, None),
@@ -110,7 +117,8 @@ _FIELDS = {
     "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _nonempty),
     "bench.drift.strategies[]": (str, _REQUIRED, _one_of(editor_mod.STRATEGIES, "strategy")),
     "bench.locality": (dict, {}, None),
-    "bench.locality.edit": ("session.edits[]", {"id": "brighten", "bias": 0.6, "scale": 0.08}, None),
+    "bench.locality.edit": ("session.edits[]", {"id": "brighten", "bias": 0.6, "scale": 0.08},
+                            _no_edit_mask),
     "bench.locality.mask": ((str, type(None)), None, _file),
     "bench.locality.modes": (list, list(MASK_MODES), None),
     "bench.locality.modes[]": (str, _REQUIRED, _one_of(MASK_MODES, "mode")),
@@ -155,15 +163,20 @@ def _walk(value, field: str, where: str, base_dir: str, overrides: dict):
     floats, ``overrides`` (field path -> value) applied and absent fields set
     to their table defaults."""
     kind, _, check = _FIELDS[field]
+    checks = [check]
     if isinstance(kind, str):
         field = kind
-        kind, _, check = _FIELDS[field]
+        kind, _, shared = _FIELDS[field]
+        checks.insert(0, shared)
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if not any(_is(value, k) for k in kinds):
         raise ConfigError(f"{where}: expected {_TYPE_NAMES[kinds[0]]}")
-    problem = check(value, base_dir) if check else None
-    if problem:
-        raise ConfigError(f"{where}: {problem}")
+    for check in filter(None, checks):
+        problem = check(value, base_dir)
+        if isinstance(problem, tuple):
+            raise ConfigError(f"{where}.{problem[0]}: {problem[1]}")
+        if problem:
+            raise ConfigError(f"{where}: {problem}")
     if isinstance(value, list):
         return [_walk(v, f"{field}[]", f"{where}[{i}]", base_dir, overrides)
                 for i, v in enumerate(value)]
@@ -351,9 +364,6 @@ def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
     loc = cfg["bench"]["locality"]
     core = _core(cfg)
     fixture = _bench_fixture(cfg, base_dir, core)
-    if "mask" in loc["edit"]:
-        raise ConfigError("config.bench.locality.edit.mask: the locality bench does not read "
-                          "an edit mask; give it as config.bench.locality.mask")
     edit, _ = _edit(loc["edit"], "config.bench.locality.edit", base_dir)
     if loc.get("mask") is not None:
         mask = _at("config.bench.locality.mask", read_mask, os.path.join(base_dir, loc["mask"]))

@@ -1,12 +1,13 @@
 """Noise predictors with exactly computable ground truth.
 
-A denoiser is any pure callable ``(z_t: LatentGrid, t: int) -> LatentGrid``
-returning a same-shaped prediction of the noise mixed into z_t.  Two closed
-forms are provided: the Bayes-optimal predictor for a Gaussian-mixture prior,
-and the predictor conditioned on an affine edit of a source latent.  Both are
-minimizers of the squared noise-prediction objective for their respective
-target distributions, so samplers built on them can be checked against exact
-moments.
+A denoiser is any pure callable ``(z_t: np.ndarray, t: int) -> np.ndarray``
+taking a float64 latent array and returning a same-shaped prediction of the
+noise mixed into z_t (chain denoisers do the same for a vector of scalar
+chains).  Two closed forms are provided: the Bayes-optimal predictor for a
+Gaussian-mixture prior, and the predictor conditioned on an affine edit of a
+source latent.  Both are minimizers of the squared noise-prediction objective
+for their respective target distributions, so samplers built on them can be
+checked against exact moments.
 """
 
 from __future__ import annotations
@@ -244,10 +245,13 @@ def gmm_eps_flat(
 
 def gmm_eps(z_t: LatentGrid, t: int, prior: GMMPrior, sched: NoiseSchedule) -> LatentGrid:
     """Bayes-optimal noise prediction at z_t for a GMM prior over grids."""
-    if z_t.shape != prior.shape:
-        raise ValueError(f"latent {z_t.shape} does not match prior {prior.shape}")
-    out = gmm_eps_flat(z_t.flat()[None, :], t, prior, sched)[0]
-    return LatentGrid(out.reshape(z_t.shape))
+    return LatentGrid(_gmm_eps_array(z_t.data, t, prior, sched))
+
+
+def _gmm_eps_array(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
+    if z.shape != prior.shape:
+        raise ValueError(f"latent {z.shape} does not match prior {prior.shape}")
+    return gmm_eps_flat(z.reshape(1, -1), t, prior, sched)[0].reshape(z.shape)
 
 
 def gmm_chain_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
@@ -262,10 +266,10 @@ def gmm_chain_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) 
 
 
 def gmm_denoiser(prior: GMMPrior, sched: NoiseSchedule):
-    """The grid denoiser callable for ``sampler.sample``."""
+    """The denoiser callable for ``sampler.sample``: latent array in, array out."""
 
-    def predict(z_t: LatentGrid, t: int) -> LatentGrid:
-        return gmm_eps(z_t, t, prior, sched)
+    def predict(z_t: np.ndarray, t: int) -> np.ndarray:
+        return _gmm_eps_array(z_t, t, prior, sched)
 
     return predict
 
@@ -291,28 +295,28 @@ def edit_conditional_eps(
     The conditional target is N(mu_y, s_y^2 I) with mu_y = gain*z_src + bias,
     giving eps = sqrt(1-abar) * (z_t - sqrt(abar) mu_y) / (abar s_y^2 + 1-abar).
     """
-    return _target_eps(z_t, t, edit.target_mean(z_src), edit.target_scale, sched)
+    mu = edit.target_mean(z_src).data
+    return LatentGrid(_target_eps(z_t.data, t, mu, edit.target_scale, sched))
 
 
 def _target_eps(
-    z_t: LatentGrid, t: int, mu: LatentGrid, target_scale: float, sched: NoiseSchedule
-) -> LatentGrid:
-    """``edit_conditional_eps`` for an already computed target mean mu_y."""
+    z_t: np.ndarray, t: int, mu: np.ndarray, target_scale: float, sched: NoiseSchedule
+) -> np.ndarray:
+    """``edit_conditional_eps`` on arrays, for an already computed target mean mu_y."""
     if z_t.shape != mu.shape:
         raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
     _check_t(t, sched)
     abar = sched.alpha_bar[t - 1]
     denom = abar * target_scale**2 + (1.0 - abar)
-    out = np.sqrt(1.0 - abar) * (z_t.data - np.sqrt(abar) * mu.data) / denom
-    return LatentGrid(out)
+    return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / denom
 
 
 def edit_denoiser(edit: EditInstruction, z_src: LatentGrid, sched: NoiseSchedule):
     """Denoiser callable conditioned on (z_src, edit); the target mean is
     computed once, not at every step."""
-    mu = edit.target_mean(z_src)
+    mu = edit.target_mean(z_src).data
 
-    def predict(z_t: LatentGrid, t: int) -> LatentGrid:
+    def predict(z_t: np.ndarray, t: int) -> np.ndarray:
         return _target_eps(z_t, t, mu, edit.target_scale, sched)
 
     return predict

@@ -169,7 +169,7 @@ class RngStream:
 
     def normal(self, shape=()) -> np.ndarray:
         """Standard normal draws via Box-Muller (see ``_box_muller``)."""
-        n = math.prod(shape)
+        n = math.prod(shape) if isinstance(shape, tuple) else int(np.prod(shape))
         z = _box_muller(self.uniform((2 * ((n + 1) // 2),)), n)
         if shape == ():
             return z[0]
@@ -186,6 +186,25 @@ def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
     angle = 2.0 * math.pi * u[..., m : 2 * m]
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
+
+
+_NORMAL_BLOCK = 1 << 14  # uniforms per block draw; bounds _normal_rows' scratch memory
+
+
+def _normal_rows(rng: RngStream, n: int, count: int):
+    """Yield ``count`` vectors of n standard normals, equal bit for bit to
+    ``count`` successive ``rng.normal((n,))`` calls; once every row is
+    taken, ``rng.position`` has advanced by the same amount.
+
+    ``Generator.random`` consumes its stream in order, so one
+    ``uniform((b, 2 * ceil(n / 2)))`` draw holds the uniforms of b
+    successive calls, one per row; b is as large as ``_NORMAL_BLOCK``
+    uniforms allow, and at least 1.
+    """
+    width = 2 * ((n + 1) // 2)
+    rows = max(1, _NORMAL_BLOCK // width)
+    for lo in range(0, count, rows):
+        yield from _box_muller(rng.uniform((min(rows, count - lo), width)), n)
 
 
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    LatentGrid, Mask, RngStream, _box_muller, _philox_uniforms, gaussian_grid, masked_combine,
-)
+from .grid import LatentGrid, Mask, RngStream, _box_muller, _normal_rows, _philox_uniforms
+from .grid import masked_combine  # noqa: F401  perfbench's tracer wraps sampler.masked_combine
 from .schedule import NoiseSchedule
 
 METHODS = ("ddpm_full", "ddpm_literal", "euler_ancestral")
@@ -133,6 +132,45 @@ def _reverse_kernel(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _step(
+    z: np.ndarray,
+    t: int,
+    eps_hat: np.ndarray,
+    xi: np.ndarray,
+    sched: NoiseSchedule,
+    cfg: SamplerConfig,
+    md: np.ndarray | None = None,
+    src: np.ndarray | None = None,
+    pin_xi: np.ndarray | None = None,
+    eps_recon: np.ndarray | None = None,
+) -> np.ndarray:
+    """One reverse update on raw arrays, with the mask ``md`` (h x w x 1,
+    1 = editable; None for no mask) enforced per ``cfg.mask_mode``.
+
+    ``xi`` is the step noise.  Pin mode also takes the source latent ``src``
+    and its re-noising draw ``pin_xi``; direction mode takes the
+    reconstruction prediction ``eps_recon``.  Inputs are not checked here.
+    """
+    mode = cfg.mask_mode if md is not None else None
+    if mode == "gate":
+        eps_hat = md * eps_hat
+    elif mode == "direction":
+        eps_hat = eps_recon + md * (eps_hat - eps_recon)
+    out = _reverse_kernel(z, t, eps_hat, xi, sched, cfg.method, cfg.add_final_noise)
+    if mode == "pin":
+        # noise_to(src, t - 1, pin_xi), then masked_combine(out, frozen, mask)
+        abar = sched.alpha_bar_at(t - 1)
+        frozen = np.sqrt(abar) * src + np.sqrt(1.0 - abar) * pin_xi
+        out = md * out + (1.0 - md) * frozen
+    return out
+
+
+def _check_shapes(shape: tuple, **grids) -> None:
+    for name, g in grids.items():
+        if g is not None and g.shape != shape:
+            raise ValueError(f"dimension mismatch: {name} is {g.shape}, latent is {shape}")
+
+
 def reverse_step(
     z_t: LatentGrid,
     t: int,
@@ -142,12 +180,9 @@ def reverse_step(
     rng: RngStream,
 ) -> LatentGrid:
     """One reverse update in the configured form; consumes one noise grid."""
-    if z_t.shape != eps_hat.shape:
-        raise ValueError(f"dimension mismatch: {z_t.shape} vs {eps_hat.shape}")
+    _check_shapes(z_t.shape, eps_hat=eps_hat)
     xi = rng.normal(z_t.shape)
-    return LatentGrid(
-        _reverse_kernel(z_t.data, t, eps_hat.data, xi, sched, cfg.method, cfg.add_final_noise)
-    )
+    return LatentGrid(_step(z_t.data, t, eps_hat.data, xi, sched, cfg))
 
 
 def masked_reverse_step(
@@ -168,26 +203,31 @@ def masked_reverse_step(
     a separate stream keeps the main step noise identical between masked and
     unmasked runs.
     """
-    if (mask.h, mask.w) != (z_t.h, z_t.w):
-        raise ValueError(f"mask {mask.h}x{mask.w} does not match latent {z_t.h}x{z_t.w}")
-    if cfg.mask_mode == "gate":
-        gated = LatentGrid(mask.data[:, :, None] * eps_hat.data)
-        return reverse_step(z_t, t, gated, sched, cfg, rng)
-    if cfg.mask_mode == "pin":
-        if z_src is None:
-            raise ValueError("pin mask mode requires z_src")
-        stepped = reverse_step(z_t, t, eps_hat, sched, cfg, rng)
-        noise_rng = pin_rng if pin_rng is not None else rng
-        xi = LatentGrid(noise_rng.normal(z_src.shape))
-        frozen = noise_to(z_src, t - 1, xi, sched)
-        return masked_combine(stepped, frozen, mask)
-    if cfg.mask_mode == "direction":
-        if eps_recon is None:
-            raise ValueError("direction mask mode requires the reconstruction prediction")
-        md = mask.data[:, :, None]
-        mixed = LatentGrid(eps_recon.data + md * (eps_hat.data - eps_recon.data))
-        return reverse_step(z_t, t, mixed, sched, cfg, rng)
-    raise ValueError(f"unknown mask mode {cfg.mask_mode!r}")
+    _check_masked(mask, z_t.shape, cfg.mask_mode, z_src, eps_recon, "prediction")
+    src = z_src.data if cfg.mask_mode == "pin" else None
+    recon = eps_recon.data if cfg.mask_mode == "direction" else None
+    _check_shapes(z_t.shape, eps_hat=eps_hat, z_src=src, eps_recon=recon)
+    xi = rng.normal(z_t.shape)
+    pin_xi = (pin_rng or rng).normal(z_t.shape) if src is not None else None
+    md = mask.data[:, :, None]
+    return LatentGrid(_step(z_t.data, t, eps_hat.data, xi, sched, cfg, md, src, pin_xi, recon))
+
+
+def _check_masked(mask: Mask, shape: tuple, mode: str, z_src, recon, recon_kind: str) -> None:
+    """The checks ``sample`` and ``masked_reverse_step`` share."""
+    if (mask.h, mask.w) != shape[:2]:
+        raise ValueError(f"mask {mask.h}x{mask.w} does not match latent {shape[0]}x{shape[1]}")
+    if mode == "pin" and z_src is None:
+        raise ValueError("pin mask mode requires z_src")
+    if mode == "direction" and recon is None:
+        raise ValueError(f"direction mask mode requires the reconstruction {recon_kind}")
+
+
+def _predict(denoiser, z: np.ndarray, t: int) -> np.ndarray:
+    eps = denoiser(z, t)
+    if eps.shape != z.shape:
+        raise ValueError(f"denoiser returned {eps.shape} at t={t} for a {z.shape} latent")
+    return eps
 
 
 def sample(
@@ -203,32 +243,40 @@ def sample(
 ) -> LatentGrid:
     """Run the full reverse loop t = T..1 and return z_0.
 
-    ``denoiser`` is a callable (z_t, t) -> eps prediction; conditioning is
-    baked into the callable.  Starts from z_T ~ N(0, I) drawn from ``rng``
-    unless ``z_init`` is supplied.  Pin-mode re-noising uses a stream spawned
-    from ``rng``, so masked and unmasked runs consume the main stream
-    identically.
+    ``denoiser`` is a callable (z_t, t) -> eps prediction on float64 arrays
+    of the latent's shape; conditioning is baked into the callable.  Starts
+    from z_T ~ N(0, I) drawn from ``rng`` unless ``z_init`` is supplied.
+    Pin-mode re-noising uses a stream spawned from ``rng``, so masked and
+    unmasked runs consume the main stream identically.  Each stream's noise
+    is drawn a block of steps at a time (``grid._normal_rows``), bit-identical
+    to one ``normal`` call per step.
+
+    The inputs are checked once, on entry, and the loop runs on raw arrays;
+    the result is checked once, on exit, so a run that reaches a non-finite
+    state raises ValueError.
     """
     h, w, c = shape
-    if mask is not None and cfg.mask_mode == "pin" and z_src is None:
-        raise ValueError("pin mask mode requires z_src")
-    if mask is not None and cfg.mask_mode == "direction" and recon_denoiser is None:
-        raise ValueError("direction mask mode requires a reconstruction denoiser")
+    if h < 1 or w < 1 or c < 1:
+        raise ValueError(f"grid dimensions must be positive, got {h}x{w}x{c}")
+    shape = (h, w, c)
+    mode = cfg.mask_mode if mask is not None else None
+    if mode is not None:
+        _check_masked(mask, shape, mode, z_src, recon_denoiser, "denoiser")
+    _check_shapes(shape, z_init=z_init, z_src=z_src)
+    n = h * w * c
     pin_rng = rng.spawn("pin")
-    z = z_init if z_init is not None else gaussian_grid(rng, h, w, c)
-    if z.shape != (h, w, c):
-        raise ValueError(f"initial latent {z.shape} does not match requested {shape}")
+    noise = _normal_rows(rng, n, sched.T + (z_init is None))
+    pin_noise = _normal_rows(pin_rng, n, sched.T) if mode == "pin" else None
+    z = z_init.data if z_init is not None else next(noise).reshape(shape)
+    md = mask.data[:, :, None] if mask is not None else None
+    src = z_src.data if z_src is not None else None
     for t in range(sched.T, 0, -1):
-        eps_hat = denoiser(z, t)
-        if mask is None:
-            z = reverse_step(z, t, eps_hat, sched, cfg, rng)
-        else:
-            eps_recon = recon_denoiser(z, t) if cfg.mask_mode == "direction" else None
-            z = masked_reverse_step(
-                z, t, eps_hat, mask, z_src, sched, cfg, rng,
-                pin_rng=pin_rng, eps_recon=eps_recon,
-            )
-    return z
+        eps_hat = _predict(denoiser, z, t)
+        eps_recon = _predict(recon_denoiser, z, t) if mode == "direction" else None
+        pin_xi = next(pin_noise).reshape(shape) if pin_noise is not None else None
+        z = _step(z, t, eps_hat, next(noise).reshape(shape), sched, cfg, md, src, pin_xi,
+                  eps_recon)
+    return LatentGrid(z)
 
 
 def sample_chains(

@@ -120,12 +120,15 @@ def forward_batch(model: TinyDenoiser, z: np.ndarray, t: np.ndarray) -> np.ndarr
 
 def forward(model: TinyDenoiser, z_t: LatentGrid, t: int) -> LatentGrid:
     """Grid-level prediction; flattened length must equal the model dim."""
+    return LatentGrid(_forward_array(model, z_t.data, t))
+
+
+def _forward_array(model: TinyDenoiser, z_t: np.ndarray, t: int) -> np.ndarray:
     if z_t.size != model.d:
         raise ValueError(f"latent has {z_t.size} values, model expects {model.d}")
     if not 1 <= t <= model.T:
         raise ValueError(f"timestep {t} out of range [1, {model.T}]")
-    out = forward_batch(model, z_t.flat()[None, :], np.array([t]))
-    return LatentGrid(out.reshape(z_t.shape))
+    return forward_batch(model, z_t.reshape(1, -1), np.array([t])).reshape(z_t.shape)
 
 
 def loss_and_grad(
@@ -224,10 +227,10 @@ def heldout_loss(
 
 
 def model_denoiser(model: TinyDenoiser):
-    """Grid denoiser callable for ``sampler.sample``."""
+    """Denoiser callable for ``sampler.sample``: latent array in, array out."""
 
-    def predict(z_t: LatentGrid, t: int) -> LatentGrid:
-        return forward(model, z_t, t)
+    def predict(z_t: np.ndarray, t: int) -> np.ndarray:
+        return _forward_array(model, z_t, t)
 
     return predict
 

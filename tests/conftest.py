@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,11 @@ from latentedit.codec import CodecConfig
 from latentedit.grid import LatentGrid, RngStream
 from latentedit.sampler import SamplerConfig
 from latentedit.schedule import build_schedule
+
+# pyproject's pytest `pythonpath` puts src/ on this process's import path
+# only; tests that run `python -m latentedit.cli` need it in PYTHONPATH.
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 class StubRng:

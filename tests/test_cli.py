@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from latentedit.cli import _FIELDS, load_config, main
+from latentedit.cli import _FIELDS, ConfigError, load_config, main
 from latentedit.fixtures import load_fixture
 from latentedit.grid import read_grid, write_grid, write_mask, LatentGrid, Mask
 
@@ -374,6 +374,28 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.fixture
+    def locality_edit_mask(self, workspace):
+        write_mask(Mask.ones(18, 18), str(workspace / "edit.mask"))
+        return base_config(extra={
+            "bench": {"locality": {"edit": {"id": "e", "bias": 0.5, "mask": "edit.mask"}}},
+            "training": {"prior": {"weights": [1.0], "means": [0.0], "scales": [1.0]},
+                         "hidden": 4, "steps": 2},
+        })
+
+    def test_locality_edit_mask_is_rejected_by_load_config(self, workspace, locality_edit_mask):
+        config = write_config(workspace, locality_edit_mask)
+        with pytest.raises(ConfigError, match=r"^config\.bench\.locality\.edit\.mask: "):
+            load_config(config)
+
+    def test_locality_edit_mask_is_rejected_by_every_command(self, workspace, capsys,
+                                                             locality_edit_mask):
+        out = str(workspace / "out")
+        assert main(["train", write_config(workspace, locality_edit_mask), "--out", out]) == 2
+        assert "config.bench.locality.edit.mask: " in capsys.readouterr().err
+        del locality_edit_mask["bench"]["locality"]["edit"]["mask"]
+        assert main(["train", write_config(workspace, locality_edit_mask), "--out", out]) == 0
 
     def test_override_is_checked_like_the_field(self, workspace, capsys):
         config = write_config(workspace, base_config())

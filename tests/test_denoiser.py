@@ -253,7 +253,7 @@ class TestEditConditional:
         monkeypatch.setattr(EditInstruction, "target_mean",
                             lambda self, z: calls.append(z) or target_mean(self, z))
         predict = edit_denoiser(edit, z_src, sched50)
-        got = [predict(z_t, t).data for t in (50, 7, 1)]
+        got = [predict(z_t.data, t) for t in (50, 7, 1)]
         assert len(calls) == 1
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
@@ -286,6 +286,34 @@ class TestComposeEdits:
         combined = compose_edits([first, second], like)
         sequential = second.target_mean(first.target_mean(like))
         np.testing.assert_allclose(combined.target_mean(like).data, sequential.data, rtol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 3),
+           per_channel=st.tuples(st.booleans(), st.booleans()),
+           grid_bias=st.tuples(st.booleans(), st.booleans()))
+    @settings(max_examples=60, deadline=None)
+    def test_composition_equals_sequential_application(self, seed, c, per_channel, grid_bias):
+        rng = RngStream(seed)
+        z = LatentGrid(3.0 * rng.normal((2, 3, c)))
+        e1, e2 = (
+            EditInstruction(
+                id=str(i),
+                gain=2.0 * rng.normal((c,)) if per_channel[i] else float(2.0 * rng.normal()),
+                bias=LatentGrid(5.0 * rng.normal(z.shape)) if grid_bias[i] else float(5.0 * rng.normal()),
+            )
+            for i in range(2)
+        )
+        got = compose_edits([e1, e2], z).target_mean(z).data
+        want = e2.target_mean(e1.target_mean(z)).data
+        # Both sides compute a2*a1*z + a2*b1 + b2.  Each term passes through at
+        # most 4 roundings sequentially and 3 composed, so (to first order)
+        # they differ by at most 7 units of roundoff u = eps / 2 of the size
+        # of the terms, not of the result, which may cancel to near zero.
+        # The bound is 8u.
+        a1, a2 = e1.gain_for(c), e2.gain_for(c)
+        b1 = e1.bias.data if grid_bias[0] else e1.bias
+        b2 = e2.bias.data if grid_bias[1] else e2.bias
+        scale = np.abs(a2 * a1) * np.abs(z.data) + np.abs(a2 * b1) + np.abs(b2)
+        assert (np.abs(got - want) <= 4 * np.finfo(np.float64).eps * scale).all()
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -372,7 +400,7 @@ class TestDenoiserContract:
         prior = scalar_prior([1.0], [0.0], [1.0])
         predict = gmm_denoiser(prior, sched200)
         z = LatentGrid.constant(0.3, 1, 1, 1)
-        a = predict(z, 10)
-        b = predict(z, 10)
+        a = predict(z.data, 10)
+        b = predict(z.data, 10)
         assert a.shape == z.shape
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from latentedit.grid import (
     GridParseError,
     LatentGrid,
     Mask,
     RngStream,
+    _NORMAL_BLOCK,
+    _normal_rows,
     _philox_uniforms,
     gaussian_grid,
     masked_combine,
@@ -88,6 +91,20 @@ class TestRngStream:
         a = RngStream(7)
         a.normal((3,))  # box-muller consumes 2*ceil(3/2) = 4 uniforms
         assert a.position == 4
+
+    def test_int_shape_equals_one_tuple(self):
+        assert np.array_equal(RngStream(7).normal(3), RngStream(7).normal((3,)))
+
+    @given(n=st.integers(1, 700), count=st.integers(0, 60), seed=st.integers(0, 2**64 - 1))
+    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0)
+    @example(n=_NORMAL_BLOCK + 1, count=3, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_normal_rows_equal_successive_normal_calls(self, n, count, seed):
+        rows, calls = RngStream(seed), RngStream(seed)
+        for row in _normal_rows(rows, n, count):
+            assert np.array_equal(row, calls.normal((n,)))
+        assert rows.position == calls.position
+        assert np.array_equal(rows.normal((5,)), calls.normal((5,)))
 
     def test_gaussian_moments(self):
         g = gaussian_grid(RngStream(7), 64, 64, 4)
@@ -243,6 +260,19 @@ class TestGridIO:
             fh.write("MASK 1 2\n0 0.5\n")
         with pytest.raises(GridParseError, match="exactly 0 or 1"):
             read_mask(path)
+
+    @given(arrays(np.float64, array_shapes(min_dims=3, max_dims=3, max_side=5),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([-0.0, 5e-324, -2.2250738585072e-310, 1.7976931348623157e308,
+                       -1.7976931348623157e308, 2.2250738585072014e-308]).reshape(1, 2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_keeps_every_float_and_sign(self, tmp_path_factory, values):
+        path = str(tmp_path_factory.mktemp("io") / "g.grid")
+        write_grid(LatentGrid(values), path)
+        back = read_grid(path).data
+        assert back.shape == values.shape
+        assert np.array_equal(back, values)
+        assert np.array_equal(np.signbit(back), np.signbit(values))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import StubRng
@@ -14,7 +14,7 @@ from latentedit.denoiser import (
     gmm_chain_denoiser,
     gmm_denoiser,
 )
-from latentedit.grid import LatentGrid, Mask, RngStream
+from latentedit.grid import LatentGrid, Mask, RngStream, masked_combine
 from latentedit.sampler import (
     DivergenceError,
     LangevinConfig,
@@ -69,6 +69,33 @@ def reference_chains(chain_denoiser, n, sched, cfg, rng, prior_init=None):
         z = _reverse_kernel(z, t, chain_denoiser(z, t), step_noise[:, sched.T - t], sched,
                             cfg.method, cfg.add_final_noise)
     return z
+
+
+def reference_sample(denoiser, shape, sched, cfg, rng, mask=None, z_src=None,
+                     recon_denoiser=None, z_init=None):
+    """``sample`` as a per-step loop on grids: one ``normal`` call per step on
+    each stream, and each mask mode composed from the grid functions."""
+    pin_rng = rng.spawn("pin")
+    z = z_init if z_init is not None else LatentGrid(rng.normal(shape))
+    mode = cfg.mask_mode if mask is not None else None
+    md = mask.data[:, :, None] if mask is not None else None
+    for t in range(sched.T, 0, -1):
+        eps = LatentGrid(denoiser(z.data, t))
+        if mode == "gate":
+            eps = LatentGrid(md * eps.data)
+        elif mode == "direction":
+            recon = recon_denoiser(z.data, t)
+            eps = LatentGrid(recon + md * (eps.data - recon))
+        stepped = reverse_step(z, t, eps, sched, cfg, rng)
+        if mode == "pin":
+            frozen = noise_to(z_src, t - 1, LatentGrid(pin_rng.normal(shape)), sched)
+            stepped = masked_combine(stepped, frozen, mask)
+        z = stepped
+    return z
+
+
+def random_mask(h, w, seed):
+    return Mask((RngStream(seed).spawn("mask").uniform((h, w)) > 0.5).astype(float))
 
 
 class TestForwardStep:
@@ -275,6 +302,80 @@ class TestSample:
                      SamplerConfig(), rng.spawn("run"), z_init=z_init)
         assert abs(out.data.mean() - 3.0) < 0.1
         assert abs(out.data.var() - 1.0) < 0.1
+
+    @given(
+        h=st.integers(1, 20), w=st.integers(1, 20), c=st.integers(1, 2),
+        T=st.integers(1, 45), seed=st.integers(0, 2**64 - 1),
+        method=st.sampled_from(["ddpm_full", "ddpm_literal", "euler_ancestral"]),
+        mode=st.sampled_from([None, "gate", "pin", "direction"]),
+        add_final_noise=st.booleans(), with_init=st.booleans(),
+    )
+    @example(h=18, w=18, c=1, T=60, seed=3, method="ddpm_full", mode="pin",
+             add_final_noise=False, with_init=False)  # 50-row noise blocks: 61 = 50 + 11
+    @example(h=1, w=1, c=1, T=1, seed=4, method="euler_ancestral", mode="direction",
+             add_final_noise=True, with_init=True)
+    @settings(max_examples=60, deadline=None)
+    def test_sample_equals_per_step_reference(self, h, w, c, T, seed, method, mode,
+                                              add_final_noise, with_init):
+        sched = build_schedule("linear", T, 1e-3, 0.2)
+        shape = (h, w, c)
+        stream = RngStream(seed)
+        z_src = LatentGrid(stream.spawn("src").normal(shape))
+        z_init = LatentGrid(stream.spawn("init").normal(shape)) if with_init else None
+        edit = EditInstruction(id="e", gain=1.1, bias=0.3, target_scale=0.2)
+        recon = edit_denoiser(EditInstruction(id="r", target_scale=0.2), z_src, sched)
+        cfg = SamplerConfig(method=method, mask_mode=mode or "pin",
+                            add_final_noise=add_final_noise)
+        kwargs = dict(mask=random_mask(h, w, seed) if mode else None, z_src=z_src,
+                      recon_denoiser=recon, z_init=z_init)
+        got = sample(edit_denoiser(edit, z_src, sched), shape, sched, cfg, RngStream(seed),
+                     **kwargs)
+        expected = reference_sample(edit_denoiser(edit, z_src, sched), shape, sched, cfg,
+                                    RngStream(seed), **kwargs)
+        assert np.array_equal(got.data, expected.data)
+
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 3),
+           T=st.integers(1, 30), seed=st.integers(0, 2**64 - 1))
+    @example(h=4, w=4, c=1, T=1, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_pin_mode_keeps_source_outside_mask_exactly(self, h, w, c, T, seed):
+        sched = build_schedule("linear", T, 1e-3, 0.2)
+        z_src = LatentGrid(RngStream(seed).spawn("src").normal((h, w, c)))
+        edit = EditInstruction(id="e", gain=0.7, bias=1.5, target_scale=0.1)
+        mask = random_mask(h, w, seed)
+        out = sample(edit_denoiser(edit, z_src, sched), z_src.shape, sched,
+                     SamplerConfig(mask_mode="pin"), RngStream(seed), mask=mask, z_src=z_src)
+        outside = np.broadcast_to(mask.data[:, :, None] == 0.0, out.shape)
+        assert np.array_equal(out.data[outside], z_src.data[outside])
+
+    @pytest.mark.parametrize("mode", [None, "gate", "pin"])
+    def test_draws_step_noise_in_blocks(self, sched200, monkeypatch, mode):
+        z_src = LatentGrid(RngStream(3).normal((18, 18, 1)))
+        mask = random_mask(18, 18, 3) if mode else None
+        edit = EditInstruction(id="e", bias=0.2, target_scale=0.1)
+        calls = []
+        uniform = RngStream.uniform
+        monkeypatch.setattr(RngStream, "uniform",
+                            lambda self, shape=(): calls.append(shape) or uniform(self, shape))
+        sample(edit_denoiser(edit, z_src, sched200), z_src.shape, sched200,
+               SamplerConfig(mask_mode=mode or "pin"), RngStream(4), mask=mask, z_src=z_src)
+        assert len(calls) <= 10  # one call per step would be 201 (401 when pinned)
+
+    @pytest.mark.parametrize("mode", [None, "gate", "pin", "direction"])
+    def test_non_finite_prediction_raises(self, sched50, mode):
+        mask = Mask.zeros(3, 3)  # the NaN lands outside the editable region
+
+        def denoiser(z, t):
+            eps = np.zeros_like(z)
+            if t == 17:
+                eps[1, 1, 0] = np.nan
+            return eps
+
+        src = LatentGrid.constant(0.5, 3, 3, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            sample(denoiser, (3, 3, 1), sched50, SamplerConfig(mask_mode=mode or "pin"),
+                   RngStream(1), mask=mask if mode else None, z_src=src,
+                   recon_denoiser=lambda z, t: np.zeros_like(z))
 
     def test_euler_ancestral_matches_full_moments(self, sched200):
         n = 4000

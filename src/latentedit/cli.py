@@ -27,7 +27,7 @@ from .codec import CodecConfig
 from .denoiser import EditInstruction, GMMPrior
 from .fixtures import fixture_path
 from .grid import LatentGrid, Mask, mean_stat, read_grid, read_mask, write_grid
-from .sampler import MASK_MODES, METHODS, LangevinConfig, SamplerConfig
+from .sampler import MASK_MODES, METHODS, DivergenceError, LangevinConfig, SamplerConfig
 from .schedule import build_schedule
 
 
@@ -510,6 +510,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import LatentGrid, RngStream
+from .grid import _NORMAL_BLOCK, LatentGrid, RngStream, _box_muller
 from .schedule import NoiseSchedule
 
 WEIGHT_TOL = 1e-12
@@ -80,11 +80,14 @@ class GMMPrior:
         then mu_k + s_k * g."""
         if n < 1:
             raise ValueError(f"sample count must be >= 1, got {n}")
-        cdf = np.cumsum(self.weights)
-        comp = np.searchsorted(cdf, rng.uniform((n,)), side="right")
-        comp = np.minimum(comp, self.k - 1)
-        g = rng.normal((n, self.dim))
-        return self.mean_matrix()[comp] + self.scales[comp, None] * g
+        u = rng.uniform((n,))
+        return self._place(u, rng.normal((n, self.dim)), np.cumsum(self.weights), self.mean_matrix())
+
+    def _place(self, u: np.ndarray, g: np.ndarray, cdf: np.ndarray, means: np.ndarray) -> np.ndarray:
+        """mu_k + s_k * g, component k by inverse CDF of the uniforms u; a loop
+        passes ``cumsum(weights)`` and ``mean_matrix()`` in, computed once."""
+        comp = np.minimum(np.searchsorted(cdf, u, side="right"), self.k - 1)
+        return means[comp] + self.scales[comp, None] * g
 
     def sample(self, rng: RngStream) -> LatentGrid:
         h, w, c = self.shape
@@ -322,6 +325,30 @@ def edit_denoiser(edit: EditInstruction, z_src: LatentGrid, sched: NoiseSchedule
     return predict
 
 
+def _diffusion_batches(prior: GMMPrior, sched: NoiseSchedule, n: int, rng: RngStream, count: int):
+    """Yield ``count`` batches (z0 (n, dim), t (n,), eps (n, dim)) of z_0 ~ prior,
+    t ~ Uniform{1..T} and eps ~ N(0, I), equal bit for bit to drawing each
+    batch with ``prior.sample_flat(rng, n)``, ``rng.uniform((n,))`` and
+    ``rng.normal((n, dim))``.  ``Generator.random`` consumes its stream in
+    order, so one ``uniform((b, width))`` draw holds b batches' uniforms, one
+    row each, sized as in ``grid._normal_rows``.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    nd = n * prior.dim
+    half = 2 * ((nd + 1) // 2)
+    width = 2 * (n + half)
+    rows = max(1, _NORMAL_BLOCK // width)
+    cdf, means = np.cumsum(prior.weights), prior.mean_matrix()
+    for lo in range(0, count, rows):
+        u = rng.uniform((min(rows, count - lo), width))
+        g = _box_muller(u[:, n : n + half], nd).reshape(-1, n, prior.dim)
+        z0 = prior._place(u[:, :n], g, cdf, means)
+        t = np.minimum((u[:, n + half : 2 * n + half] * sched.T).astype(np.int64) + 1, sched.T)
+        eps = _box_muller(u[:, 2 * n + half :], nd).reshape(-1, n, prior.dim)
+        yield from zip(z0, t, eps)
+
+
 def bayes_loss_estimate(
     prior: GMMPrior, sched: NoiseSchedule, n: int, rng: RngStream
 ) -> float:
@@ -332,11 +359,7 @@ def bayes_loss_estimate(
     z_t = sqrt(abar) z_0 + sqrt(1-abar) eps, and averages
     |eps - eps_hat|^2 / dim.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    z0 = prior.sample_flat(rng, n)
-    t_draw = np.minimum((rng.uniform((n,)) * sched.T).astype(np.int64) + 1, sched.T)
-    eps = rng.normal((n, prior.dim))
+    z0, t_draw, eps = next(_diffusion_batches(prior, sched, n, rng, 1))
     abar = sched.alpha_bar[t_draw - 1][:, None]
     z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
     total = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import GMMPrior
+from .denoiser import GMMPrior, _diffusion_batches
 from .grid import (
     GridParseError, LatentGrid, RngStream, _parse_header, _parse_values, _read_tokens, _write_rows,
 )
@@ -82,12 +82,6 @@ class TinyDenoiser:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def copy(self) -> "TinyDenoiser":
-        return TinyDenoiser(
-            self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy(),
-            self.time_embed.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -101,8 +95,13 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
@@ -156,7 +155,7 @@ def loss_and_grad(
     pred = hidden @ model.W2.T + model.b2                        # (B, d)
 
     resid = pred - eps
-    loss = float(np.mean(resid**2))
+    loss = float(np.add.reduce(resid**2, axis=None) / resid.size)  # np.mean minus its wrapper
 
     d_pred = 2.0 * resid / (B * d)                               # dL/dpred
     g_W2 = d_pred.T @ hidden
@@ -168,49 +167,44 @@ def loss_and_grad(
     return loss, {"W1": g_W1, "b1": g_b1, "W2": g_W2, "b2": g_b2}
 
 
-def _sample_batch(
-    prior: GMMPrior, sched: NoiseSchedule, n: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z0 = prior.sample_flat(rng, n)
-    t = np.minimum((rng.uniform((n,)) * sched.T).astype(np.int64) + 1, sched.T)
-    eps = rng.normal((n, prior.dim))
-    return z0, t, eps
-
-
 def train(
     model: TinyDenoiser,
     prior: GMMPrior,
     sched: NoiseSchedule,
     cfg: TrainConfig,
 ) -> tuple[TinyDenoiser, np.ndarray]:
-    """Optimize on freshly sampled batches; returns (trained copy, loss trace)."""
+    """Optimize on freshly sampled batches; returns (trained copy, loss trace).
+    SGD and Adam step one flat vector that the parameters are views of."""
     if prior.dim != model.d:
         raise ValueError(f"prior dim {prior.dim} does not match model dim {model.d}")
     if sched.T != model.T:
         raise ValueError(f"schedule T={sched.T} does not match model T={model.T}")
-    model = model.copy()
+    params = [getattr(model, name) for name in PARAM_NAMES]
+    flat = np.concatenate([p.ravel() for p in params])
+    parts = np.split(flat, np.cumsum([p.size for p in params])[:-1])
+    work = TinyDenoiser(*(part.reshape(p.shape) for part, p in zip(parts, params)),
+                        model.time_embed.copy())
     rng = RngStream(cfg.seed).spawn("train")
     trace = np.empty(cfg.steps)
-    moments1 = {k: np.zeros_like(v) for k, v in model.params().items()}
-    moments2 = {k: np.zeros_like(v) for k, v in model.params().items()}
-    for step in range(cfg.steps):
-        batch = _sample_batch(prior, sched, cfg.batch_size, rng)
-        loss, grads = loss_and_grad(model, batch, sched)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"training loss became non-finite at step {step + 1}")
-        trace[step] = loss
-        if cfg.optimizer == "sgd":
-            for name, g in grads.items():
-                getattr(model, name)[...] -= cfg.learning_rate * g
-        else:
-            k = step + 1
-            for name, g in grads.items():
-                m = moments1[name] = cfg.adam_beta1 * moments1[name] + (1 - cfg.adam_beta1) * g
-                v = moments2[name] = cfg.adam_beta2 * moments2[name] + (1 - cfg.adam_beta2) * g**2
-                m_hat = m / (1 - cfg.adam_beta1**k)
-                v_hat = v / (1 - cfg.adam_beta2**k)
-                getattr(model, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return model, trace
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    batches = _diffusion_batches(prior, sched, cfg.batch_size, rng, cfg.steps)
+    # overflow on the way to a non-finite loss is reported by DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, batch in enumerate(batches):
+            loss, grads = loss_and_grad(work, batch, sched)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"training loss became non-finite at step {step + 1}")
+            trace[step] = loss
+            g = np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
+            if cfg.optimizer == "sgd":
+                flat -= cfg.learning_rate * g
+            else:
+                k = step + 1
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g**2
+                flat -= cfg.learning_rate * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + cfg.adam_eps)
+    return TinyDenoiser(*(p.copy() for p in work.params().values()), work.time_embed), trace
 
 
 def heldout_loss(
@@ -221,8 +215,7 @@ def heldout_loss(
     rng: RngStream,
 ) -> float:
     """Loss on a fresh evaluation batch (no gradient step)."""
-    batch = _sample_batch(prior, sched, n, rng)
-    loss, _ = loss_and_grad(model, batch, sched)
+    loss, _ = loss_and_grad(model, next(_diffusion_batches(prior, sched, n, rng, 1)), sched)
     return loss
 
 

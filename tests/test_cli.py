@@ -244,6 +244,13 @@ class TestTrainCommand:
             b = fh.read()
         assert a == b
 
+    def test_divergence_exits_1_with_one_line(self, workspace, capsys):
+        config = write_config(workspace, self.base_training(steps=20, lr=1e200))
+        assert main(["train", config, "--out", str(workspace / "diverged")]) == 1
+        err = capsys.readouterr().err
+        assert err == "train: training loss became non-finite at step 2\n"
+        assert "Traceback" not in err
+
     def test_model_file_loads_back(self, workspace):
         from latentedit.training import load_model
 

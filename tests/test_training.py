@@ -1,10 +1,15 @@
 """The tiny trainable noise predictor: forward pass, analytic gradients
 against finite differences, optimization, and serialization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latentedit.denoiser import GMMPrior
+from latentedit import denoiser
+from latentedit.denoiser import GMMPrior, bayes_loss_estimate, gmm_eps_flat
 from latentedit.grid import GridParseError, LatentGrid, RngStream
 from latentedit.sampler import DivergenceError, SamplerConfig, sample_chains
 from latentedit.schedule import build_schedule
@@ -51,6 +56,82 @@ GRID 3 2 1
 0.9092974268256817 -0.4161468365471424
 0.1411200080598672 -0.9899924966004454
 """
+
+
+def ref_sample_batch(prior, sched, n, rng):
+    """One training batch drawn call by call, in the order the block draws
+    of ``denoiser._diffusion_batches`` must reproduce."""
+    cdf = np.cumsum(prior.weights)
+    comp = np.minimum(np.searchsorted(cdf, rng.uniform((n,)), side="right"), prior.k - 1)
+    g = rng.normal((n, prior.dim))
+    z0 = prior.mean_matrix()[comp] + prior.scales[comp, None] * g
+    t = np.minimum((rng.uniform((n,)) * sched.T).astype(np.int64) + 1, sched.T)
+    eps = rng.normal((n, prior.dim))
+    return z0, t, eps
+
+
+def ref_train(model, prior, sched, cfg):
+    """``train`` as a per-step draw and a per-parameter SGD/Adam loop: the
+    reference the block-drawn, flat-vector optimiser equals bit for bit."""
+    model = TinyDenoiser(*(getattr(model, name).copy() for name in (*PARAM_NAMES, "time_embed")))
+    rng = RngStream(cfg.seed).spawn("train")
+    trace = np.empty(cfg.steps)
+    moments1 = {k: np.zeros_like(v) for k, v in model.params().items()}
+    moments2 = {k: np.zeros_like(v) for k, v in model.params().items()}
+    for step in range(cfg.steps):
+        batch = ref_sample_batch(prior, sched, cfg.batch_size, rng)
+        loss, grads = loss_and_grad(model, batch, sched)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"training loss became non-finite at step {step + 1}")
+        trace[step] = loss
+        if cfg.optimizer == "sgd":
+            for name, g in grads.items():
+                getattr(model, name)[...] -= cfg.learning_rate * g
+        else:
+            k = step + 1
+            for name, g in grads.items():
+                m = moments1[name] = cfg.adam_beta1 * moments1[name] + (1 - cfg.adam_beta1) * g
+                v = moments2[name] = cfg.adam_beta2 * moments2[name] + (1 - cfg.adam_beta2) * g**2
+                m_hat = m / (1 - cfg.adam_beta1**k)
+                v_hat = v / (1 - cfg.adam_beta2**k)
+                getattr(model, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return model, trace
+
+
+def ref_bayes_loss(prior, sched, n, rng):
+    """``bayes_loss_estimate`` on a batch drawn by ``ref_sample_batch``."""
+    z0, t_draw, eps = ref_sample_batch(prior, sched, n, rng)
+    abar = sched.alpha_bar[t_draw - 1][:, None]
+    z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
+    total = 0.0
+    for t in np.unique(t_draw):
+        idx = t_draw == t
+        pred = gmm_eps_flat(z_t[idx], int(t), prior, sched)
+        total += float(((eps[idx] - pred) ** 2).sum())
+    return total / (n * prior.dim)
+
+
+SCHED20 = build_schedule("linear", 20, 1e-3, 0.08)
+
+
+def mixture(d, seed=0):
+    """Three components over (d, 1, 1) grids with distinct, random means."""
+    rng = RngStream(seed)
+    means = tuple(LatentGrid(rng.normal((d, 1, 1))) for _ in range(3))
+    return GMMPrior(np.array([0.2, 0.3, 0.5]), means, np.array([0.3, 0.0, 1.2]))
+
+
+def batch_width(n, d):
+    """Uniforms one training batch of n draws of a dim-d prior takes."""
+    return 2 * (n + 2 * ((n * d + 1) // 2))
+
+
+def assert_same_training(model, prior, cfg):
+    got, trace = train(model, prior, SCHED20, cfg)
+    want, want_trace = ref_train(model, prior, SCHED20, cfg)
+    assert trace.tobytes() == want_trace.tobytes()
+    for name in PARAM_NAMES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def zero_model(d=2, T=10, hidden=4, embed=4):
@@ -222,6 +303,117 @@ class TestTrain:
             TrainConfig(learning_rate=0.1, batch_size=0, steps=1)
         with pytest.raises(ValueError, match="optimizer"):
             TrainConfig(learning_rate=0.1, batch_size=1, steps=1, optimizer="lbfgs")
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -0.1), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("adam_beta1", -0.1), ("adam_beta1", 1.0), ("adam_beta1", float("nan")),
+        ("adam_beta2", -0.1), ("adam_beta2", 1.0), ("adam_beta2", float("nan")),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", float("inf")), ("adam_eps", float("nan")),
+    ])
+    def test_config_rejects_bad_field(self, field, value):
+        kwargs = {"learning_rate": 0.1, "batch_size": 1, "steps": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**kwargs)
+
+    def test_config_accepts_zero_betas(self):
+        TrainConfig(learning_rate=0.0, batch_size=1, steps=1, adam_beta1=0.0, adam_beta2=0.0)
+
+
+class TestBlockDrawsAndFlatOptimiser:
+    """``train`` draws a block of steps' batches at a time and steps the
+    optimiser on one flat vector; both must equal the per-step reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        optimizer=st.sampled_from(["sgd", "adam"]),
+        d=st.sampled_from([1, 2, 3]),
+        batch=st.one_of(st.just(1), st.integers(1, 40).map(lambda i: 2 * i + 1), st.just(128)),
+        rows=st.integers(1, 4),
+        spare=st.integers(0, 10**6),
+        steps=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_train_equals_reference(self, optimizer, d, batch, rows, spare, steps, seed):
+        # a block of `rows` steps (plus spare uniforms short of one more
+        # step), so most step counts cross a block boundary
+        width = batch_width(batch, d)
+        model = TinyDenoiser.init(d=d, T=20, hidden=8, embed_dim=4, seed=seed % 7)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=batch, steps=steps, seed=seed,
+                          optimizer=optimizer)
+        with mock.patch.object(denoiser, "_NORMAL_BLOCK", rows * width + spare % width):
+            assert_same_training(model, mixture(d, seed), cfg)
+
+    @pytest.mark.parametrize("batch, d, wide", [(128, 1, False), (2100, 3, True)])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_train_equals_reference_at_the_real_block_size(self, batch, d, wide, optimizer):
+        # a wide batch takes more uniforms than a block holds, so each block
+        # holds one step; either way the run crosses two block boundaries
+        assert (batch_width(batch, d) > denoiser._NORMAL_BLOCK) == wide
+        rows = max(1, denoiser._NORMAL_BLOCK // batch_width(batch, d))
+        model = TinyDenoiser.init(d=d, T=20, hidden=8, embed_dim=4, seed=d)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=batch, steps=2 * rows + 1, seed=3,
+                          optimizer=optimizer)
+        assert_same_training(model, mixture(d), cfg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_heldout_and_bayes_follow_reference_draw_order(self, d, n, seed):
+        prior = mixture(d, seed)
+        model = TinyDenoiser.init(d=d, T=20, hidden=8, embed_dim=4, seed=1)
+        rng, ref_rng = RngStream(seed), RngStream(seed)
+        want, _ = loss_and_grad(model, ref_sample_batch(prior, SCHED20, n, ref_rng), SCHED20)
+        assert heldout_loss(model, prior, SCHED20, n, rng) == want
+        assert rng.position == ref_rng.position
+        want = ref_bayes_loss(prior, SCHED20, n, ref_rng)
+        assert bayes_loss_estimate(prior, SCHED20, n, rng) == want
+        assert rng.position == ref_rng.position
+
+    @pytest.mark.parametrize("optimizer, lr", [("sgd", 1e3), ("adam", 1e153)])
+    def test_divergence_names_the_reference_step(self, optimizer, lr):
+        # these rates diverge at steps 42 and 3, past the first 2-step block
+        model = TinyDenoiser.init(d=2, T=20, hidden=8, embed_dim=4, seed=2)
+        cfg = TrainConfig(learning_rate=lr, batch_size=8, steps=50, seed=5, optimizer=optimizer)
+        with mock.patch.object(denoiser, "_NORMAL_BLOCK", 2 * batch_width(8, 2)):
+            with pytest.raises(DivergenceError) as got:
+                train(model, mixture(2), SCHED20, cfg)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as want:
+            ref_train(model, mixture(2), SCHED20, cfg)
+        assert str(got.value) == str(want.value)
+
+    def test_input_model_is_not_mutated(self):
+        model = TinyDenoiser.init(d=2, T=20, hidden=8, embed_dim=4, seed=2)
+        before = {name: getattr(model, name).copy() for name in (*PARAM_NAMES, "time_embed")}
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, steps=40, seed=5, optimizer="adam")
+        train(model, mixture(2), SCHED20, cfg)
+        for name, value in before.items():
+            assert getattr(model, name).tobytes() == value.tobytes(), name
+
+    def test_results_are_independent_contiguous_arrays(self):
+        model = TinyDenoiser.init(d=2, T=20, hidden=8, embed_dim=4, seed=2)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, steps=5, seed=5, optimizer="adam")
+        first, _ = train(model, mixture(2), SCHED20, cfg)
+        second, _ = train(model, mixture(2), SCHED20, cfg)
+        names = (*PARAM_NAMES, "time_embed")
+        arrays = [getattr(m, name) for m in (model, first, second) for name in names]
+        for i, a in enumerate(arrays):
+            assert all(not np.shares_memory(a, b) for b in arrays[i + 1:])
+        for name in names:
+            got = getattr(first, name)
+            assert got.shape == getattr(model, name).shape
+            assert got.flags.c_contiguous and got.flags.owndata, name
+
+    def test_trained_model_roundtrips_byte_identically(self, tmp_path):
+        model = TinyDenoiser.init(d=3, T=20, hidden=8, embed_dim=4, seed=2)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, steps=30, seed=5, optimizer="adam")
+        trained, _ = train(model, mixture(3), SCHED20, cfg)
+        first, second = str(tmp_path / "a.params"), str(tmp_path / "b.params")
+        save_model(trained, first)
+        back = load_model(first)
+        save_model(back, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+        for name in (*PARAM_NAMES, "time_embed"):
+            assert getattr(back, name).tobytes() == getattr(trained, name).tobytes(), name
 
 
 class TestSerialization:

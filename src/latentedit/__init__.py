@@ -19,7 +19,6 @@ from .grid import (
     LatentGrid,
     Mask,
     RngStream,
-    gaussian_grid,
     masked_combine,
     mean_stat,
     read_grid,
@@ -32,7 +31,6 @@ from .sampler import (
     LangevinConfig,
     SamplerConfig,
     forward_step,
-    langevin_sample,
     masked_reverse_step,
     noise_to,
     reverse_step,
@@ -64,10 +62,8 @@ __all__ = [
     "edit_denoiser",
     "encode",
     "forward_step",
-    "gaussian_grid",
     "gmm_denoiser",
     "gmm_eps",
-    "langevin_sample",
     "masked_combine",
     "masked_reverse_step",
     "mean_stat",

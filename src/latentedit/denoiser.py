@@ -1,11 +1,10 @@
 """Noise predictors with exactly computable ground truth.
 
 A denoiser is any pure callable ``(z_t: np.ndarray, t: int) -> np.ndarray``
-taking a float64 latent array and returning a same-shaped prediction of the
-noise mixed into z_t (chain denoisers do the same for a vector of scalar
-chains).  Two closed forms are provided: the Bayes-optimal predictor for a
-Gaussian-mixture prior, and the predictor conditioned on an affine edit of a
-source latent.  Both are minimizers of the squared noise-prediction objective
+taking a float64 latent array (or a vector of scalar chains) and returning a
+same-shaped prediction of the noise mixed into z_t.  Two closed forms are
+provided: the Bayes-optimal predictor for a Gaussian-mixture prior, and the
+predictor conditioned on an affine edit of a source latent.  Both are minimizers of the squared noise-prediction objective
 for their respective target distributions, so samplers built on them can be
 checked against exact moments.
 """
@@ -230,15 +229,15 @@ def _gmm_score_flat(
     return -np.einsum("mk,mkd->md", weighted, diff)
 
 
-def gmm_eps_flat(
-    z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule
-) -> np.ndarray:
-    """Bayes-optimal noise prediction for a batch of flat points (m, dim).
+def gmm_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
+    """Bayes-optimal noise prediction for a batch of m flat points, (m, dim).
 
     The noised marginal is q_t(z) = sum_k w_k N(z; sqrt(abar) mu_k, v_k I)
     with v_k = abar s_k^2 + (1 - abar); the optimal prediction is
     -sqrt(1 - abar) * grad log q_t.
     """
+    if z.ndim != 2 or z.shape[1] != prior.dim:
+        raise ValueError(f"points {z.shape} do not match prior dim {prior.dim}")
     _check_t(t, sched)
     abar = sched.alpha_bar[t - 1]
     variances = abar * prior.scales**2 + (1.0 - abar)
@@ -246,33 +245,24 @@ def gmm_eps_flat(
     return -np.sqrt(1.0 - abar) * score
 
 
-def gmm_eps(z_t: LatentGrid, t: int, prior: GMMPrior, sched: NoiseSchedule) -> LatentGrid:
-    """Bayes-optimal noise prediction at z_t for a GMM prior over grids."""
-    return LatentGrid(_gmm_eps_array(z_t.data, t, prior, sched))
-
-
-def _gmm_eps_array(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
-    if z.shape != prior.shape:
-        raise ValueError(f"latent {z.shape} does not match prior {prior.shape}")
-    return gmm_eps_flat(z.reshape(1, -1), t, prior, sched)[0].reshape(z.shape)
-
-
 def gmm_chain_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
-    """Per-coordinate prediction for a vector of independent scalar chains.
+    """``gmm_eps`` for a vector of independent scalar chains.
 
     Requires a scalar (1x1x1) prior; each entry of z is treated as its own
     draw, with its own component responsibilities.
     """
     if prior.dim != 1:
         raise ValueError("chain denoising requires a scalar (1x1x1) prior")
-    return gmm_eps_flat(np.asarray(z, dtype=np.float64)[:, None], t, prior, sched)[:, 0]
+    return gmm_eps(np.asarray(z, dtype=np.float64)[:, None], t, prior, sched)[:, 0]
 
 
 def gmm_denoiser(prior: GMMPrior, sched: NoiseSchedule):
     """The denoiser callable for ``sampler.sample``: latent array in, array out."""
 
     def predict(z_t: np.ndarray, t: int) -> np.ndarray:
-        return _gmm_eps_array(z_t, t, prior, sched)
+        if z_t.shape != prior.shape:
+            raise ValueError(f"latent {z_t.shape} does not match prior {prior.shape}")
+        return gmm_eps(z_t.reshape(1, -1), t, prior, sched)[0].reshape(z_t.shape)
 
     return predict
 
@@ -365,14 +355,15 @@ def bayes_loss_estimate(
     total = 0.0
     for t in np.unique(t_draw):
         idx = t_draw == t
-        pred = gmm_eps_flat(z_t[idx], int(t), prior, sched)
+        pred = gmm_eps(z_t[idx], int(t), prior, sched)
         total += float(((eps[idx] - pred) ** 2).sum())
     return total / (n * prior.dim)
 
 
 class GMMEnergy:
     """Exact energy -log p(z) for a GMM prior with strictly positive scales,
-    with closed-form gradient.  Usable both on grids and on chain vectors."""
+    with closed-form gradient: ``value`` of one grid, ``grad_chain`` of
+    independent scalar chains."""
 
     def __init__(self, prior: GMMPrior):
         if (prior.scales <= 0).any():
@@ -392,20 +383,13 @@ class GMMEnergy:
         peak = log_comp.max()
         return float(-(peak + np.log(np.exp(log_comp - peak).sum())))
 
-    def grad(self, z: LatentGrid) -> LatentGrid:
-        score = _gmm_score_flat(
-            z.flat()[None, :], self.prior.mean_matrix(), self.prior.weights, self._variances
-        )
-        return LatentGrid((-score[0]).reshape(z.shape))
-
     def grad_chain(self, z: np.ndarray) -> np.ndarray:
-        """Per-coordinate gradient for independent scalar chains (dim-1 prior)."""
+        """Per-entry gradient for independent scalar chains (dim-1 prior); z
+        may have any shape."""
         if self.prior.dim != 1:
             raise ValueError("chain gradients require a scalar (1x1x1) prior")
+        z = np.asarray(z, dtype=np.float64)
         score = _gmm_score_flat(
-            np.asarray(z, dtype=np.float64)[:, None],
-            self.prior.mean_matrix(),
-            self.prior.weights,
-            self._variances,
+            z.reshape(-1, 1), self.prior.mean_matrix(), self.prior.weights, self._variances
         )
-        return -score[:, 0]
+        return -score.reshape(z.shape)

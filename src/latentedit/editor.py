@@ -118,18 +118,12 @@ def open_session(
     )
 
 
-def renormalize_latent(z: LatentGrid, codec_cfg: CodecConfig) -> LatentGrid:
+def renormalize_latent(z: LatentGrid, codec_cfg: CodecConfig) -> tuple[LatentGrid, float]:
     """Rescale z so its mean matches the mean of one decode/encode round-trip
-    of itself.  The round-trip is used only for that scalar; the latent values
-    themselves are never replaced.  Means below the absolute floor, or small
-    against the latent's RMS, disable scaling (factor 1)."""
-    out, _ = _renormalize_with_factor(z, codec_cfg)
-    return out
-
-
-def _renormalize_with_factor(
-    z: LatentGrid, codec_cfg: CodecConfig
-) -> tuple[LatentGrid, float]:
+    of itself; returns (rescaled latent, factor).  The round-trip is used only
+    for that scalar; the latent values themselves are never replaced.  Means
+    below the absolute floor, or small against the latent's RMS, disable
+    scaling (factor 1)."""
     d = mean_stat(z)
     if abs(d) < RENORM_MEAN_FLOOR or (
         abs(d) < RENORM_MEAN_REL_FLOOR * np.sqrt(np.mean(z.data**2))
@@ -150,7 +144,7 @@ def _conditioning_latent(session: EditSession) -> tuple[LatentGrid, EditInstruct
             session.encode_calls += 1
             return codec_mod.encode(session.original, cfg), edit, 1.0
         session.renorm_roundtrips += 1
-        z_img, f = _renormalize_with_factor(session.prev_latent, cfg)
+        z_img, f = renormalize_latent(session.prev_latent, cfg)
         return z_img, edit, f
     if session.strategy == "image_iteration":
         source = session.original if e == 0 else session.outputs[-1]

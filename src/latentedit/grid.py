@@ -74,13 +74,6 @@ class LatentGrid:
     def constant(value: float, h: int, w: int, c: int) -> "LatentGrid":
         return LatentGrid(np.full((h, w, c), float(value)))
 
-    @staticmethod
-    def from_flat(values, h: int, w: int, c: int) -> "LatentGrid":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size != h * w * c:
-            raise ValueError(f"expected {h * w * c} values for {h}x{w}x{c}, got {arr.size}")
-        return LatentGrid(arr.reshape(h, w, c))
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -247,13 +240,6 @@ def _philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
             x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
     words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-
-
-def gaussian_grid(rng: RngStream, h: int, w: int, c: int) -> LatentGrid:
-    """An h x w x c grid of i.i.d. standard normal entries drawn from ``rng``."""
-    if h < 1 or w < 1 or c < 1:
-        raise ValueError(f"grid dimensions must be positive, got {h}x{w}x{c}")
-    return LatentGrid(rng.normal((h, w, c)))
 
 
 def mean_stat(g: LatentGrid) -> float:

@@ -35,8 +35,8 @@ MASK_MODES = ("gate", "pin", "direction")
 _CHAIN_BLOCK = 256  # chains whose noise is drawn together; bounds sample_chains' scratch memory
 
 
-class DivergenceError(RuntimeError):
-    """An iterative sampler reached a non-finite state."""
+class DivergenceError(RuntimeError, ValueError):
+    """An iterative sampler or training run reached a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def sample(
 
     The inputs are checked once, on entry, and the loop runs on raw arrays;
     the result is checked once, on exit, so a run that reaches a non-finite
-    state raises ValueError.
+    state raises DivergenceError.
     """
     h, w, c = shape
     if h < 1 or w < 1 or c < 1:
@@ -270,13 +270,20 @@ def sample(
     z = z_init.data if z_init is not None else next(noise).reshape(shape)
     md = mask.data[:, :, None] if mask is not None else None
     src = z_src.data if z_src is not None else None
-    for t in range(sched.T, 0, -1):
-        eps_hat = _predict(denoiser, z, t)
-        eps_recon = _predict(recon_denoiser, z, t) if mode == "direction" else None
-        pin_xi = next(pin_noise).reshape(shape) if pin_noise is not None else None
-        z = _step(z, t, eps_hat, next(noise).reshape(shape), sched, cfg, md, src, pin_xi,
-                  eps_recon)
-    return LatentGrid(z)
+    # overflow on the way to a non-finite state is reported by DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(sched.T, 0, -1):
+            eps_hat = _predict(denoiser, z, t)
+            eps_recon = _predict(recon_denoiser, z, t) if mode == "direction" else None
+            pin_xi = next(pin_noise).reshape(shape) if pin_noise is not None else None
+            z = _step(z, t, eps_hat, next(noise).reshape(shape), sched, cfg, md, src, pin_xi,
+                      eps_recon)
+    try:
+        return LatentGrid(z)  # the shape is valid by construction, so only non-finite values fail
+    except ValueError:
+        raise DivergenceError(
+            f"sampled latent became non-finite within T={sched.T} reverse steps"
+        ) from None
 
 
 def sample_chains(
@@ -321,9 +328,8 @@ def sample_chains(
         noise[lo:hi] = _box_muller(u[:, lead:], draws)
     if matched:
         abar_T = float(sched.alpha_bar[-1])
-        cdf = np.cumsum(prior_init.weights)
-        comp = np.minimum(np.searchsorted(cdf, comp_u, side="right"), prior_init.k - 1)
-        z0 = prior_init.mean_matrix()[comp, 0] + prior_init.scales[comp] * noise[:, 0]
+        cdf, means = np.cumsum(prior_init.weights), prior_init.mean_matrix()
+        z0 = prior_init._place(comp_u, noise[:, :1], cdf, means)[:, 0]
         z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
         step_noise = noise[:, 2:]
     else:
@@ -337,52 +343,22 @@ def sample_chains(
     return z
 
 
-def langevin_sample(
-    energy,
-    cfg: LangevinConfig,
-    init: LatentGrid,
-    rng: RngStream,
-) -> LatentGrid:
-    """Overdamped Langevin iteration on a grid:
-    z <- z - (step/2) * grad E(z) + noise_scale_i * xi."""
-    z = init.data.copy()
-    for i in range(cfg.steps):
-        grad = energy.grad(LatentGrid(z)).data
-        z = z - 0.5 * cfg.step_size * grad + cfg.noise_at(i) * rng.normal(z.shape)
-        if not np.isfinite(z).all():
-            raise DivergenceError(f"langevin state became non-finite at step {i + 1}")
-    return LatentGrid(z)
-
-
 def langevin_chains(
     grad_chain,
     cfg: LangevinConfig,
     init: np.ndarray,
     rng: RngStream,
 ) -> np.ndarray:
-    """Langevin iteration over a vector of independent scalar chains.
+    """Overdamped Langevin iteration z <- z - (step/2) * grad E(z) + noise_i * xi
+    on a state array of any shape (a grid's values, or independent chains).
 
-    ``grad_chain`` maps a length-n state vector to per-entry energy gradients.
+    ``grad_chain`` maps the state array to a same-shaped energy gradient.
     """
     z = np.asarray(init, dtype=np.float64).copy()
-    for i in range(cfg.steps):
-        z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * rng.normal(z.shape)
-        if not np.isfinite(z).all():
-            raise DivergenceError(f"langevin state became non-finite at step {i + 1}")
+    # overflow on the way to a non-finite state is reported by DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.steps):
+            z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * rng.normal(z.shape)
+            if not np.isfinite(z).all():
+                raise DivergenceError(f"langevin state became non-finite at step {i + 1}")
     return z
-
-
-class QuadraticEnergy:
-    """E(z) = |z - center|^2 / 2, the unit isotropic Gaussian energy."""
-
-    def __init__(self, center: float = 0.0):
-        self.center = float(center)
-
-    def value(self, z: LatentGrid) -> float:
-        return float(0.5 * ((z.data - self.center) ** 2).sum())
-
-    def grad(self, z: LatentGrid) -> LatentGrid:
-        return LatentGrid(z.data - self.center)
-
-    def grad_chain(self, z: np.ndarray) -> np.ndarray:
-        return z - self.center

@@ -15,7 +15,7 @@ import numpy as np
 
 from .denoiser import GMMPrior, _diffusion_batches
 from .grid import (
-    GridParseError, LatentGrid, RngStream, _parse_header, _parse_values, _read_tokens, _write_rows,
+    GridParseError, RngStream, _parse_header, _parse_values, _read_tokens, _write_rows,
 )
 from .sampler import DivergenceError
 from .schedule import NoiseSchedule
@@ -110,24 +110,11 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
 
-def forward_batch(model: TinyDenoiser, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized forward pass: z is (B, d), t is (B,) timesteps in {1..T}."""
+def forward(model: TinyDenoiser, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Batched forward pass: z is (B, d), t is (B,) timesteps in {1..T}."""
     x = np.concatenate([z, model.time_embed[t - 1]], axis=1)
     hidden = np.tanh(x @ model.W1.T + model.b1)
     return hidden @ model.W2.T + model.b2
-
-
-def forward(model: TinyDenoiser, z_t: LatentGrid, t: int) -> LatentGrid:
-    """Grid-level prediction; flattened length must equal the model dim."""
-    return LatentGrid(_forward_array(model, z_t.data, t))
-
-
-def _forward_array(model: TinyDenoiser, z_t: np.ndarray, t: int) -> np.ndarray:
-    if z_t.size != model.d:
-        raise ValueError(f"latent has {z_t.size} values, model expects {model.d}")
-    if not 1 <= t <= model.T:
-        raise ValueError(f"timestep {t} out of range [1, {model.T}]")
-    return forward_batch(model, z_t.reshape(1, -1), np.array([t])).reshape(z_t.shape)
 
 
 def loss_and_grad(
@@ -204,6 +191,9 @@ def train(
                 m = b1 * m + (1 - b1) * g
                 v = b2 * v + (1 - b2) * g**2
                 flat -= cfg.learning_rate * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + cfg.adam_eps)
+    # a loss is checked before each update, so only the last update can go unseen
+    if not np.isfinite(flat).all():
+        raise DivergenceError(f"training parameters became non-finite at step {cfg.steps}")
     return TinyDenoiser(*(p.copy() for p in work.params().values()), work.time_embed), trace
 
 
@@ -220,21 +210,17 @@ def heldout_loss(
 
 
 def model_denoiser(model: TinyDenoiser):
-    """Denoiser callable for ``sampler.sample``: latent array in, array out."""
-
-    def predict(z_t: np.ndarray, t: int) -> np.ndarray:
-        return _forward_array(model, z_t, t)
-
-    return predict
-
-
-def chain_denoiser(model: TinyDenoiser):
-    """Vectorized chain denoiser for dim-1 models."""
-    if model.d != 1:
-        raise ValueError("chain denoising requires a dim-1 model")
+    """Denoiser callable for ``sampler.sample`` (a latent of d values) and,
+    for a dim-1 model, ``sampler.sample_chains`` (a vector of chains)."""
 
     def predict(z: np.ndarray, t: int) -> np.ndarray:
-        return forward_batch(model, z[:, None], np.full(z.shape, t, dtype=np.int64))[:, 0]
+        if z.size != model.d and not (model.d == 1 and z.ndim == 1):
+            raise ValueError(f"latent has {z.size} values, model expects {model.d}")
+        if not 1 <= t <= model.T:
+            raise ValueError(f"timestep {t} out of range [1, {model.T}]")
+        batch = z.size // model.d
+        steps = np.full(batch, t, dtype=np.int64)
+        return forward(model, z.reshape(batch, model.d), steps).reshape(z.shape)
 
     return predict
 

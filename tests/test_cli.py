@@ -129,6 +129,16 @@ class TestRunSession:
         assert main(["run-session", config, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "edit_001.grid"))
 
+    def test_sampler_divergence_exits_1_with_one_line(self, workspace, capsys):
+        cfg = {"seed": 0, "out_dir": "out", "schedule": {"T": 20},
+               "session": {"input": "input.grid",
+                           "edits": [{"id": "a", "gain": 1e306, "scale": 0.1}]}}
+        config = write_config(workspace, cfg)
+        assert main(["run-session", config, "--method", "ddpm_literal"]) == 1
+        err = capsys.readouterr().err
+        assert err == "run-session: sampled latent became non-finite within T=20 reverse steps\n"
+        assert "Traceback" not in err
+
 
 class TestBenchCommands:
     def test_drift_csv_and_exit_zero(self, workspace):

@@ -48,7 +48,7 @@ class TestEncode:
         # rows [0,0] and [1,1]: replicate-pad blur gives rows 0.25 / 0.75,
         # whose 2x2 average is exactly 0.5
         cfg = CodecConfig(downsample=2, levels=1 << 20, clamp=4.0)
-        image = LatentGrid.from_flat([0.0, 0.0, 1.0, 1.0], 2, 2, 1)
+        image = LatentGrid(np.reshape([0.0, 0.0, 1.0, 1.0], (2, 2, 1)))
         latent = encode(image, cfg)
         assert abs(latent.data[0, 0, 0] - 0.5) <= cfg.cell
 
@@ -71,7 +71,7 @@ class TestDecode:
 
     def test_zero_unsharp_is_pure_upsample(self):
         cfg = CodecConfig(unsharp=0.0)
-        latent = LatentGrid.from_flat([1.0, 2.0, 3.0, 4.0], 2, 2, 1)
+        latent = LatentGrid(np.reshape([1.0, 2.0, 3.0, 4.0], (2, 2, 1)))
         image = decode(latent, cfg)
         assert image.shape == (4, 4, 1)
         assert image.data[0, 0, 0] == 1.0
@@ -87,7 +87,7 @@ class TestDecode:
         # vertical blur with replicate pad = [0, 0.25, 0.75, 1], so
         # x + 0.15 (x - blur x) = [0, -0.0375, 1.0375, 1]
         cfg = CodecConfig(downsample=2, unsharp=0.15)
-        latent = LatentGrid.from_flat([0.0, 1.0], 2, 1, 1)
+        latent = LatentGrid(np.reshape([0.0, 1.0], (2, 1, 1)))
         image = decode(latent, cfg)
         np.testing.assert_allclose(
             image.data[:, 0, 0], [0.0, -0.0375, 1.0375, 1.0], rtol=1e-12

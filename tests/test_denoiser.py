@@ -27,6 +27,11 @@ def scalar_prior(weights, mus, scales):
     return GMMPrior.scalar(weights, mus, scales)
 
 
+def grid_eps(z: LatentGrid, t, prior, sched) -> LatentGrid:
+    """``gmm_eps`` at one grid, through ``gmm_denoiser``'s shape check."""
+    return LatentGrid(gmm_denoiser(prior, sched)(z.data, t))
+
+
 def schedule_with_abar(abar: float):
     """A one-step schedule whose alpha_bar[1] equals the requested value."""
     return build_schedule("linear", 1, 1.0 - abar, 1.0 - abar)
@@ -92,7 +97,7 @@ class TestGmmEps:
         prior = scalar_prior([1.0], [0.0], [1.0])
         sched = schedule_with_abar(0.75)
         z = LatentGrid.constant(2.0, 1, 1, 1)
-        out = gmm_eps(z, 1, prior, sched)
+        out = grid_eps(z, 1, prior, sched)
         np.testing.assert_allclose(out.data, 1.0, rtol=1e-12)
 
     def test_point_mass_inverts_noise(self):
@@ -100,13 +105,13 @@ class TestGmmEps:
         prior = scalar_prior([1.0], [0.0], [0.0])
         sched = schedule_with_abar(0.75)
         z = LatentGrid.constant(0.5, 1, 1, 1)
-        out = gmm_eps(z, 1, prior, sched)
+        out = grid_eps(z, 1, prior, sched)
         np.testing.assert_allclose(out.data, 1.0, rtol=1e-12)
 
     def test_symmetric_mixture_vanishes_at_origin(self):
         prior = scalar_prior([0.5, 0.5], [-1.7, 1.7], [0.6, 0.6])
         sched = schedule_with_abar(0.6)
-        out = gmm_eps(LatentGrid.constant(0.0, 1, 1, 1), 1, prior, sched)
+        out = grid_eps(LatentGrid.constant(0.0, 1, 1, 1), 1, prior, sched)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-14)
 
     def test_score_consistency_against_numerical_gradient(self):
@@ -118,21 +123,21 @@ class TestGmmEps:
             z = LatentGrid(stream.normal((2, 3, 1)))
             abar = sched.alpha_bar[t - 1]
             expected = -np.sqrt(1.0 - abar) * numerical_log_q_gradient(z, t, prior, sched)
-            got = gmm_eps(z, t, prior, sched).flat()
+            got = grid_eps(z, t, prior, sched).flat()
             np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-9)
 
     def test_no_underflow_far_from_means(self):
         prior = scalar_prior([0.5, 0.5], [-1.0, 1.0], [0.3, 0.3])
         sched = schedule_with_abar(0.5)
-        out = gmm_eps(LatentGrid.constant(1e3, 1, 1, 1), 1, prior, sched)
+        out = grid_eps(LatentGrid.constant(1e3, 1, 1, 1), 1, prior, sched)
         assert np.isfinite(out.data).all()
 
     def test_dimension_and_timestep_errors(self, sched200):
         prior = scalar_prior([1.0], [0.0], [1.0])
         with pytest.raises(ValueError, match="does not match prior"):
-            gmm_eps(LatentGrid.constant(0.0, 2, 1, 1), 1, prior, sched200)
+            grid_eps(LatentGrid.constant(0.0, 2, 1, 1), 1, prior, sched200)
         with pytest.raises(ValueError, match="out of range"):
-            gmm_eps(LatentGrid.constant(0.0, 1, 1, 1), 0, prior, sched200)
+            grid_eps(LatentGrid.constant(0.0, 1, 1, 1), 0, prior, sched200)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -144,9 +149,21 @@ class TestGmmEps:
         base = scalar_prior([0.4, 0.6], mus, [0.5, 0.9])
         permuted = scalar_prior([0.6, 0.4], mus[::-1], [0.9, 0.5])
         split = scalar_prior([0.2, 0.2, 0.6], [mus[0], mus[0], mus[1]], [0.5, 0.5, 0.9])
-        expect = gmm_eps(z, 7, base, sched).data
-        np.testing.assert_allclose(gmm_eps(z, 7, permuted, sched).data, expect, rtol=1e-12)
-        np.testing.assert_allclose(gmm_eps(z, 7, split, sched).data, expect, rtol=1e-12)
+        expect = grid_eps(z, 7, base, sched).data
+        np.testing.assert_allclose(grid_eps(z, 7, permuted, sched).data, expect, rtol=1e-12)
+        np.testing.assert_allclose(grid_eps(z, 7, split, sched).data, expect, rtol=1e-12)
+
+    def test_batch_matches_single_points_and_checks_shape(self, sched200):
+        means = (LatentGrid.constant(-1.0, 2, 1, 1), LatentGrid.constant(1.0, 2, 1, 1))
+        prior = GMMPrior(np.array([0.5, 0.5]), means, np.array([0.5, 0.8]))
+        z = RngStream(3).normal((5, 2))
+        batch = gmm_eps(z, 30, prior, sched200)
+        for row, expected in zip(z, batch):
+            got = grid_eps(LatentGrid(row.reshape(2, 1, 1)), 30, prior, sched200)
+            np.testing.assert_allclose(got.flat(), expected, rtol=1e-12)
+        for bad in (np.zeros((5, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match="prior dim 2"):
+                gmm_eps(bad, 30, prior, sched200)
 
     def test_chain_eps_matches_grid_eps(self):
         prior = scalar_prior([0.3, 0.7], [-2.0, 2.0], [0.25, 0.25])
@@ -154,7 +171,7 @@ class TestGmmEps:
         zs = np.array([-2.2, -0.3, 0.9, 2.4])
         batch = gmm_chain_eps(zs, 9, prior, sched)
         for z, expected in zip(zs, batch):
-            got = gmm_eps(LatentGrid.constant(z, 1, 1, 1), 9, prior, sched)
+            got = grid_eps(LatentGrid.constant(z, 1, 1, 1), 9, prior, sched)
             np.testing.assert_allclose(got.data[0, 0, 0], expected, rtol=1e-12)
 
     def test_chain_eps_requires_scalar_prior(self, sched200):
@@ -226,7 +243,7 @@ class TestEditConditional:
         z_t = LatentGrid(stream.normal((2, 2, 1)))
         for t in (5, 30):
             direct = edit_conditional_eps(z_t, t, edit, z_src, sched)
-            via_gmm = gmm_eps(z_t, t, prior, sched)
+            via_gmm = grid_eps(z_t, t, prior, sched)
             np.testing.assert_allclose(direct.data, via_gmm.data, rtol=1e-10)
 
     def test_per_channel_gain(self):
@@ -378,7 +395,7 @@ class TestGMMEnergy:
             up = energy.value(LatentGrid.constant(z0 + step, 1, 1, 1))
             down = energy.value(LatentGrid.constant(z0 - step, 1, 1, 1))
             numeric = (up - down) / (2 * step)
-            got = energy.grad(z).data[0, 0, 0]
+            got = energy.grad_chain(z.data)[0, 0, 0]
             np.testing.assert_allclose(got, numeric, rtol=1e-5)
 
     def test_requires_positive_scales(self):
@@ -391,7 +408,7 @@ class TestGMMEnergy:
         zs = np.array([-1.0, 0.0, 2.2])
         batch = energy.grad_chain(zs)
         for z, expected in zip(zs, batch):
-            got = energy.grad(LatentGrid.constant(z, 1, 1, 1)).data[0, 0, 0]
+            got = energy.grad_chain(LatentGrid.constant(z, 1, 1, 1).data)[0, 0, 0]
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 

@@ -110,20 +110,20 @@ class TestApplyEdit:
 class TestRenormalize:
     def test_lattice_constant_unchanged(self, codec_cfg):
         z = LatentGrid.constant(2.125, 4, 4, 1)
-        out = renormalize_latent(z, codec_cfg)
+        out, _ = renormalize_latent(z, codec_cfg)
         np.testing.assert_array_equal(out.data, z.data)
 
     def test_output_mean_matches_roundtrip_mean(self, codec_cfg, rng):
         z = LatentGrid(1.0 + 0.4 * rng.normal((6, 6, 1)))
         from latentedit.codec import decode, encode as enc
 
-        out = renormalize_latent(z, codec_cfg)
+        out, _ = renormalize_latent(z, codec_cfg)
         reference = mean_stat(enc(decode(z, codec_cfg), codec_cfg))
         np.testing.assert_allclose(mean_stat(out), reference, rtol=1e-12)
 
     def test_near_zero_mean_disables_scaling(self, codec_cfg):
         z = LatentGrid.constant(3e-9, 4, 4, 1)
-        out = renormalize_latent(z, codec_cfg)
+        out, _ = renormalize_latent(z, codec_cfg)
         np.testing.assert_array_equal(out.data, z.data)
 
     def test_mean_small_against_spread_disables_scaling(self, codec_cfg):
@@ -132,7 +132,7 @@ class TestRenormalize:
         g = RngStream(0).normal((18, 18, 1))
         z = LatentGrid(g - g.mean() + 1e-6)
         assert abs(mean_stat(z)) > RENORM_MEAN_FLOOR
-        out = renormalize_latent(z, codec_cfg)
+        out, _ = renormalize_latent(z, codec_cfg)
         np.testing.assert_array_equal(out.data, z.data)
 
 

@@ -14,7 +14,6 @@ from latentedit.grid import (
     _NORMAL_BLOCK,
     _normal_rows,
     _philox_uniforms,
-    gaussian_grid,
     masked_combine,
     mean_stat,
     read_grid,
@@ -51,10 +50,6 @@ class TestLatentGrid:
         assert g.data[0, 0, 0] == 1.0
         with pytest.raises(ValueError):
             g.data[0, 0, 0] = 5.0
-
-    def test_from_flat_count_check(self):
-        with pytest.raises(ValueError, match="expected 4"):
-            LatentGrid.from_flat([1.0, 2.0, 3.0], 2, 2, 1)
 
 
 class TestMask:
@@ -107,7 +102,7 @@ class TestRngStream:
         assert np.array_equal(rows.normal((5,)), calls.normal((5,)))
 
     def test_gaussian_moments(self):
-        g = gaussian_grid(RngStream(7), 64, 64, 4)
+        g = LatentGrid(RngStream(7).normal((64, 64, 4)))
         n = g.size
         assert abs(g.data.mean()) < 0.03
         assert 0.95 < g.data.var() < 1.05
@@ -115,7 +110,7 @@ class TestRngStream:
 
     def test_gaussian_grid_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="positive"):
-            gaussian_grid(RngStream(1), 0, 4, 1)
+            LatentGrid(RngStream(1).normal((0, 4, 1)))
 
     def test_nested_spawn_equals_one_spawn_with_the_whole_path(self):
         a = RngStream(7)
@@ -141,11 +136,11 @@ class TestStats:
         assert mean_stat(LatentGrid.constant(2.0, 3, 3, 1)) == 2.0
 
     def test_mean_symmetry(self):
-        g = LatentGrid.from_flat([1.0, -1.0], 2, 1, 1)
+        g = LatentGrid(np.reshape([1.0, -1.0], (2, 1, 1)))
         assert mean_stat(g) == 0.0
 
     def test_mean_hand_sum(self):
-        g = LatentGrid.from_flat([0.5, 1.5, 2.5, 3.5], 2, 2, 1)
+        g = LatentGrid(np.reshape([0.5, 1.5, 2.5, 3.5], (2, 2, 1)))
         assert mean_stat(g) == 2.0
 
     def test_rmse_dimension_mismatch(self):
@@ -165,8 +160,8 @@ class TestMaskedCombine:
         assert np.array_equal(out.data, other.data)
 
     def test_two_pixel_example(self):
-        a = LatentGrid.from_flat([5.0, 5.0], 2, 1, 1)
-        b = LatentGrid.from_flat([9.0, 9.0], 2, 1, 1)
+        a = LatentGrid(np.reshape([5.0, 5.0], (2, 1, 1)))
+        b = LatentGrid(np.reshape([9.0, 9.0], (2, 1, 1)))
         m = Mask(np.array([[1.0], [0.0]]))
         out = masked_combine(a, b, m)
         assert out.flat().tolist() == [5.0, 9.0]

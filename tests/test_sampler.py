@@ -18,11 +18,9 @@ from latentedit.grid import LatentGrid, Mask, RngStream, masked_combine
 from latentedit.sampler import (
     DivergenceError,
     LangevinConfig,
-    QuadraticEnergy,
     SamplerConfig,
     forward_step,
     langevin_chains,
-    langevin_sample,
     masked_reverse_step,
     noise_to,
     reverse_step,
@@ -32,6 +30,10 @@ from latentedit.sampler import (
     sample_chains,
 )
 from latentedit.schedule import NoiseSchedule, build_schedule
+
+
+# E(z) = z^2 / 2 + const: its gradient is z itself, bit for bit
+UNIT_ENERGY = GMMEnergy(GMMPrior.scalar([1.0], [0.0], [1.0]))
 
 
 def manual_schedule(betas):
@@ -442,14 +444,14 @@ class TestLangevin:
     def test_quadratic_one_big_step_reaches_minimum(self):
         cfg = LangevinConfig(step_size=2.0, noise_scale=0.0, steps=1)
         init = LatentGrid.constant(3.7, 2, 2, 1)
-        out = langevin_sample(QuadraticEnergy(), cfg, init, StubRng(0.0))
+        out = LatentGrid(langevin_chains(UNIT_ENERGY.grad_chain, cfg, init.data, StubRng(0.0)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_quadratic_stationary_moments(self):
         # discretized OU: stationary variance 1/(1 - step/4) = 1.0256 at 0.1
         cfg = LangevinConfig(step_size=0.1, steps=5000)
         init = RngStream(71).normal((10000,))
-        z = langevin_chains(QuadraticEnergy().grad_chain, cfg, init, RngStream(72))
+        z = langevin_chains(UNIT_ENERGY.grad_chain, cfg, init, RngStream(72))
         assert abs(z.mean()) < 0.05
         assert abs(z.var() - 1.0) < 0.1
 
@@ -466,7 +468,7 @@ class TestLangevin:
         # every iteration until it overflows to inf
         cfg = LangevinConfig(step_size=1e8, noise_scale=0.0, steps=500)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite"):
-            langevin_sample(QuadraticEnergy(), cfg, LatentGrid.constant(2.0, 1, 1, 1),
+            langevin_chains(UNIT_ENERGY.grad_chain, cfg, LatentGrid.constant(2.0, 1, 1, 1).data,
                             RngStream(5))
 
     def test_step_size_validation(self):
@@ -477,14 +479,9 @@ class TestLangevin:
         cfg = LangevinConfig(step_size=0.09, steps=10)
         np.testing.assert_allclose(cfg.noise_at(0), 0.3, rtol=1e-12)
 
-    def test_quadratic_energy_gradient_check(self):
-        energy = QuadraticEnergy(center=1.0)
-        z = LatentGrid.constant(2.5, 1, 1, 1)
-        step = 1e-5
-        up = energy.value(LatentGrid.constant(2.5 + step, 1, 1, 1))
-        down = energy.value(LatentGrid.constant(2.5 - step, 1, 1, 1))
-        np.testing.assert_allclose(energy.grad(z).data[0, 0, 0],
-                                   (up - down) / (2 * step), rtol=1e-5)
+    def test_unit_gaussian_energy_gradient_is_the_state(self):
+        z = RngStream(91).normal((100000,)) * 10.0
+        assert UNIT_ENERGY.grad_chain(z).tobytes() == z.tobytes()
 
 
 class TestSamplerConfig:

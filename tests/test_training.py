@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentedit import denoiser
-from latentedit.denoiser import GMMPrior, bayes_loss_estimate, gmm_eps_flat
+from latentedit.denoiser import GMMPrior, bayes_loss_estimate, gmm_eps
 from latentedit.grid import GridParseError, LatentGrid, RngStream
 from latentedit.sampler import DivergenceError, SamplerConfig, sample_chains
 from latentedit.schedule import build_schedule
@@ -17,7 +17,6 @@ from latentedit.training import (
     PARAM_NAMES,
     TinyDenoiser,
     TrainConfig,
-    chain_denoiser,
     forward,
     heldout_loss,
     load_model,
@@ -106,7 +105,7 @@ def ref_bayes_loss(prior, sched, n, rng):
     total = 0.0
     for t in np.unique(t_draw):
         idx = t_draw == t
-        pred = gmm_eps_flat(z_t[idx], int(t), prior, sched)
+        pred = gmm_eps(z_t[idx], int(t), prior, sched)
         total += float(((eps[idx] - pred) ** 2).sum())
     return total / (n * prior.dim)
 
@@ -134,6 +133,11 @@ def assert_same_training(model, prior, cfg):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def grid_forward(model, z: LatentGrid, t: int) -> LatentGrid:
+    """The model's prediction at one grid, through ``model_denoiser``'s checks."""
+    return LatentGrid(model_denoiser(model)(z.data, t))
+
+
 def zero_model(d=2, T=10, hidden=4, embed=4):
     model = TinyDenoiser.init(d=d, T=T, hidden=hidden, embed_dim=embed, seed=0)
     for name in PARAM_NAMES:
@@ -144,27 +148,27 @@ def zero_model(d=2, T=10, hidden=4, embed=4):
 class TestForward:
     def test_zero_parameters_give_zero_output(self):
         model = zero_model()
-        z = LatentGrid.from_flat([1.0, -2.0], 2, 1, 1)
-        assert np.array_equal(forward(model, z, 3).data, np.zeros((2, 1, 1)))
+        z = LatentGrid(np.reshape([1.0, -2.0], (2, 1, 1)))
+        assert np.array_equal(grid_forward(model, z, 3).data, np.zeros((2, 1, 1)))
 
     def test_output_bias_passthrough(self):
         model = zero_model()
         model.b2[...] = 1.5
-        z = LatentGrid.from_flat([1.0, -2.0], 2, 1, 1)
-        np.testing.assert_array_equal(forward(model, z, 3).flat(), [1.5, 1.5])
+        z = LatentGrid(np.reshape([1.0, -2.0], (2, 1, 1)))
+        np.testing.assert_array_equal(grid_forward(model, z, 3).flat(), [1.5, 1.5])
 
     def test_seeded_model_golden_values(self):
         # frozen from the first run of this configuration
         model = TinyDenoiser.init(d=4, T=20, hidden=8, embed_dim=8, seed=42)
-        z = LatentGrid.from_flat([0.25, -0.5, 1.0, 2.0], 2, 2, 1)
-        np.testing.assert_allclose(forward(model, z, 7).flat(), GOLDEN_FORWARD, rtol=1e-15)
+        z = LatentGrid(np.reshape([0.25, -0.5, 1.0, 2.0], (2, 2, 1)))
+        np.testing.assert_allclose(grid_forward(model, z, 7).flat(), GOLDEN_FORWARD, rtol=1e-15)
 
     def test_dim_and_timestep_validation(self):
         model = zero_model(d=2, T=10)
         with pytest.raises(ValueError, match="model expects 2"):
-            forward(model, LatentGrid.constant(0.0, 3, 1, 1), 1)
+            grid_forward(model, LatentGrid.constant(0.0, 3, 1, 1), 1)
         with pytest.raises(ValueError, match="out of range"):
-            forward(model, LatentGrid.constant(0.0, 2, 1, 1), 11)
+            grid_forward(model, LatentGrid.constant(0.0, 2, 1, 1), 11)
 
     def test_init_rejects_oversized_latents(self):
         with pytest.raises(ValueError, match=r"\[1, 64\]"):
@@ -275,6 +279,14 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
             train(model, prior, sched50, cfg)
 
+    def test_overflow_in_the_last_update_raises(self):
+        # the loss before the only step is finite; the update itself overflows W1
+        prior = GMMPrior.scalar([0.5, 0.5], [-100.0, 100.0], [0.25, 0.25])
+        model = TinyDenoiser.init(d=1, T=20, hidden=8, seed=0)
+        cfg = TrainConfig(learning_rate=1e308, batch_size=16, steps=1)
+        with pytest.raises(DivergenceError, match="parameters became non-finite at step 1"):
+            train(model, prior, SCHED20, cfg)
+
     def test_loss_descends_toward_bayes_floor(self, prior, sched50):
         # the full 1.15x-floor criterion is acceptance 5; quick sanity here
         model = TinyDenoiser.init(d=1, T=50, hidden=64, seed=1)
@@ -293,7 +305,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.004, batch_size=128, steps=4000,
                           seed=1, optimizer="adam")
         trained, _ = train(model, prior, sched50, cfg)
-        z = sample_chains(chain_denoiser(trained), 6000, sched50,
+        z = sample_chains(model_denoiser(trained), 6000, sched50,
                           SamplerConfig(), RngStream(71), prior_init=prior)
         assert abs(z.mean() - 0.0) < 0.2
         assert abs(z.var() - 4.0625) / 4.0625 < 0.2
@@ -425,7 +437,7 @@ class TestSerialization:
         for name in (*PARAM_NAMES, "time_embed"):
             assert np.array_equal(getattr(model, name), getattr(back, name))
         z = LatentGrid.constant(0.4, 3, 1, 1)
-        assert np.array_equal(forward(model, z, 5).data, forward(back, z, 5).data)
+        assert np.array_equal(grid_forward(model, z, 5).data, grid_forward(back, z, 5).data)
 
     def test_file_is_byte_identical_to_golden(self, tmp_path):
         path = str(tmp_path / "model.params")
@@ -451,12 +463,23 @@ class TestSerialization:
 class TestDenoiserAdapters:
     def test_model_denoiser_matches_forward(self):
         model = TinyDenoiser.init(d=4, T=10, hidden=8, seed=3)
-        z = LatentGrid.from_flat([0.1, 0.2, 0.3, 0.4], 2, 2, 1)
+        z = LatentGrid(np.reshape([0.1, 0.2, 0.3, 0.4], (2, 2, 1)))
         a = model_denoiser(model)(z.data, 4)
-        b = forward(model, z, 4)
+        b = LatentGrid(forward(model, z.data.reshape(1, -1), np.array([4])).reshape(z.shape))
         assert np.array_equal(a, b.data)
 
-    def test_chain_denoiser_requires_dim_one(self):
-        model = TinyDenoiser.init(d=2, T=10, hidden=8, seed=3)
-        with pytest.raises(ValueError, match="dim-1"):
-            chain_denoiser(model)
+    def test_model_denoiser_runs_chains_of_a_dim_one_model(self):
+        model = TinyDenoiser.init(d=1, T=10, hidden=8, seed=3)
+        z = np.array([-1.5, 0.0, 0.25, 2.0, 3.5])
+        got = model_denoiser(model)(z, 6)
+        want = forward(model, z[:, None], np.full(5, 6, dtype=np.int64))[:, 0]
+        assert got.tobytes() == want.tobytes()
+
+    def test_model_denoiser_checks_size_and_timestep_per_call(self):
+        predict = model_denoiser(TinyDenoiser.init(d=2, T=10, hidden=8, seed=3))
+        with pytest.raises(ValueError, match="model expects 2"):
+            predict(np.zeros(3), 1)
+        with pytest.raises(ValueError, match="model expects 2"):
+            predict(np.zeros((2, 2)), 1)
+        with pytest.raises(ValueError, match="out of range"):
+            predict(np.zeros(2), 0)

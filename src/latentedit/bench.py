@@ -41,9 +41,6 @@ class Report:
             if len(r) != len(self.columns):
                 raise ValueError(f"row {r} does not match columns {self.columns}")
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.rows == other.rows
-
     def __len__(self):
         return len(self.rows)
 

@@ -210,8 +210,9 @@ def _gmm_score_flat(
     """grad log of sum_k w_k N(z; mean_k, v_k I) for a batch of flat points.
 
     z is (m, D), mean_mat (K, D), variances (K,).  Responsibilities are
-    computed in log space with max subtraction, so the result stays finite
-    for |z| up to about 1e3.
+    computed in log space with max subtraction.  Where ssq overflows for
+    every component (|z| beyond about 1e154), the components tied at the
+    peak share the weight instead of giving NaN.
     """
     dim = z.shape[1]
     diff = z[:, None, :] - mean_mat[None, :, :]  # (m, K, D)
@@ -224,6 +225,10 @@ def _gmm_score_flat(
     for col in log_resp[1:]:
         peak = np.maximum(peak, col)
     resp = [np.exp(col - peak) for col in log_resp]
+    if peak.size and peak.min() == -np.inf:
+        # ssq overflowed for every component of some point: exp(-inf - -inf)
+        # is NaN there, so the components at the peak get weight 1 (= exp(0))
+        resp = [np.where(col == peak, 1.0, r) for col, r in zip(log_resp, resp)]
     total = _row_sum(resp)
     weighted = np.stack([col / total / variances[k] for k, col in enumerate(resp)], axis=1)
     return -np.einsum("mk,mkd->md", weighted, diff)

@@ -99,39 +99,6 @@ def noise_to(z_0: LatentGrid, t: int, eps: LatentGrid, sched: NoiseSchedule) -> 
     return LatentGrid(np.sqrt(abar) * z_0.data + np.sqrt(1.0 - abar) * eps.data)
 
 
-def _reverse_kernel(
-    z: np.ndarray,
-    t: int,
-    eps_hat: np.ndarray,
-    xi: np.ndarray,
-    sched: NoiseSchedule,
-    method: str,
-    add_final_noise: bool,
-) -> np.ndarray:
-    """Elementwise reverse update on raw arrays; shared by grid and chain paths."""
-    beta, alpha, abar, sigma = sched.query(t)
-    noise_on = add_final_noise or t > 1
-    if method == "ddpm_literal":
-        out = z - eps_hat
-        if noise_on:
-            out = out + sigma * xi
-        return out
-    if method == "ddpm_full":
-        out = (z - (beta / np.sqrt(1.0 - abar)) * eps_hat) / np.sqrt(alpha)
-        if noise_on:
-            out = out + sigma * xi
-        return out
-    if method == "euler_ancestral":
-        abar_prev = sched.alpha_bar_at(t - 1)
-        x0_hat = (z - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
-        var_t = (1.0 - abar_prev) / (1.0 - abar) * beta
-        out = np.sqrt(abar_prev) * x0_hat + np.sqrt(max(0.0, 1.0 - abar_prev - var_t)) * eps_hat
-        if noise_on:
-            out = out + np.sqrt(var_t) * xi
-        return out
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _step(
     z: np.ndarray,
     t: int,
@@ -144,8 +111,8 @@ def _step(
     pin_xi: np.ndarray | None = None,
     eps_recon: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One reverse update on raw arrays, with the mask ``md`` (h x w x 1,
-    1 = editable; None for no mask) enforced per ``cfg.mask_mode``.
+    """One reverse update on raw arrays of any shape, with the mask ``md``
+    (h x w x 1, 1 = editable; None for no mask) enforced per ``cfg.mask_mode``.
 
     ``xi`` is the step noise.  Pin mode also takes the source latent ``src``
     and its re-noising draw ``pin_xi``; direction mode takes the
@@ -156,7 +123,20 @@ def _step(
         eps_hat = md * eps_hat
     elif mode == "direction":
         eps_hat = eps_recon + md * (eps_hat - eps_recon)
-    out = _reverse_kernel(z, t, eps_hat, xi, sched, cfg.method, cfg.add_final_noise)
+    beta, alpha, abar, sigma = sched.query(t)
+    scale = sigma
+    if cfg.method == "ddpm_literal":
+        out = z - eps_hat
+    elif cfg.method == "ddpm_full":
+        out = (z - (beta / np.sqrt(1.0 - abar)) * eps_hat) / np.sqrt(alpha)
+    else:  # euler_ancestral; SamplerConfig admits no other method
+        abar_prev = sched.alpha_bar_at(t - 1)
+        x0_hat = (z - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
+        var_t = (1.0 - abar_prev) / (1.0 - abar) * beta
+        out = np.sqrt(abar_prev) * x0_hat + np.sqrt(max(0.0, 1.0 - abar_prev - var_t)) * eps_hat
+        scale = np.sqrt(var_t)
+    if cfg.add_final_noise or t > 1:
+        out = out + scale * xi
     if mode == "pin":
         # noise_to(src, t - 1, pin_xi), then masked_combine(out, frozen, mask)
         abar = sched.alpha_bar_at(t - 1)
@@ -230,6 +210,27 @@ def _predict(denoiser, z: np.ndarray, t: int) -> np.ndarray:
     return eps
 
 
+def _reverse(denoiser, z, noise, sched, cfg, md=None, src=None, pin_noise=None, recon=None):
+    """The reverse loop t = T..1 on raw arrays under ``sample`` and ``sample_chains``.
+
+    ``noise`` (and ``pin_noise`` in pin mode) yields z.size draws per step;
+    ``recon`` is the direction-mode reconstruction denoiser.
+    """
+    direction = md is not None and cfg.mask_mode == "direction"
+    # overflow on the way to a non-finite state is reported by DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(sched.T, 0, -1):
+            eps_hat = _predict(denoiser, z, t)
+            eps_recon = _predict(recon, z, t) if direction else None
+            xi = next(noise).reshape(z.shape)
+            pin_xi = next(pin_noise).reshape(z.shape) if pin_noise is not None else None
+            z = _step(z, t, eps_hat, xi, sched, cfg, md, src, pin_xi, eps_recon)
+    # reductions, not isfinite(z).all(): no temporary the size of z
+    if not (np.isfinite(z.max()) and np.isfinite(z.min())):
+        raise DivergenceError(f"sampled latent became non-finite within T={sched.T} reverse steps")
+    return z
+
+
 def sample(
     denoiser,
     shape: tuple[int, int, int],
@@ -249,11 +250,8 @@ def sample(
     Pin-mode re-noising uses a stream spawned from ``rng``, so masked and
     unmasked runs consume the main stream identically.  Each stream's noise
     is drawn a block of steps at a time (``grid._normal_rows``), bit-identical
-    to one ``normal`` call per step.
-
-    The inputs are checked once, on entry, and the loop runs on raw arrays;
-    the result is checked once, on exit, so a run that reaches a non-finite
-    state raises DivergenceError.
+    to one ``normal`` call per step.  The inputs are checked once, on entry;
+    a run whose z_0 is non-finite raises DivergenceError.
     """
     h, w, c = shape
     if h < 1 or w < 1 or c < 1:
@@ -270,20 +268,7 @@ def sample(
     z = z_init.data if z_init is not None else next(noise).reshape(shape)
     md = mask.data[:, :, None] if mask is not None else None
     src = z_src.data if z_src is not None else None
-    # overflow on the way to a non-finite state is reported by DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(sched.T, 0, -1):
-            eps_hat = _predict(denoiser, z, t)
-            eps_recon = _predict(recon_denoiser, z, t) if mode == "direction" else None
-            pin_xi = next(pin_noise).reshape(shape) if pin_noise is not None else None
-            z = _step(z, t, eps_hat, next(noise).reshape(shape), sched, cfg, md, src, pin_xi,
-                      eps_recon)
-    try:
-        return LatentGrid(z)  # the shape is valid by construction, so only non-finite values fail
-    except ValueError:
-        raise DivergenceError(
-            f"sampled latent became non-finite within T={sched.T} reverse steps"
-        ) from None
+    return LatentGrid(_reverse(denoiser, z, noise, sched, cfg, md, src, pin_noise, recon_denoiser))
 
 
 def sample_chains(
@@ -296,12 +281,13 @@ def sample_chains(
 ) -> np.ndarray:
     """Run n independent scalar reverse chains, vectorized over the batch.
 
-    ``chain_denoiser`` maps a length-n vector and a timestep to per-entry
-    predictions.  Each chain's noise comes from its own stream spawned from
-    ``rng`` (chain index as the derivation path), so results do not depend on
-    how the batch is partitioned or parallelized.  The streams are drawn a
-    block of chains at a time in one vectorized Philox pass, bit-identical to
-    drawing each stream on its own.
+    ``chain_denoiser`` maps a length-n vector and a timestep to a length-n
+    prediction, checked at every step; a non-finite result raises
+    DivergenceError.  Each chain's noise comes from its own stream spawned
+    from ``rng`` (chain index as the derivation path), so results do not
+    depend on how the batch is partitioned or parallelized.  The streams are
+    drawn a block of chains at a time in one vectorized Philox pass,
+    bit-identical to drawing each stream on its own.
 
     By default chains start at z_T ~ N(0, 1).  When ``prior_init`` is a
     scalar mixture prior, chains instead start at the exact noised marginal
@@ -331,16 +317,10 @@ def sample_chains(
         cdf, means = np.cumsum(prior_init.weights), prior_init.mean_matrix()
         z0 = prior_init._place(comp_u, noise[:, :1], cdf, means)[:, 0]
         z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
-        step_noise = noise[:, 2:]
     else:
         z = noise[:, 0].copy()
-        step_noise = noise[:, 1:]
-    for t in range(sched.T, 0, -1):
-        eps_hat = chain_denoiser(z, t)
-        z = _reverse_kernel(
-            z, t, eps_hat, step_noise[:, sched.T - t], sched, cfg.method, cfg.add_final_noise
-        )
-    return z
+    step_noise = noise[:, draws - sched.T:]  # the last T draws, one column per step
+    return _reverse(chain_denoiser, z, iter(step_noise.T), sched, cfg)
 
 
 def langevin_chains(

@@ -51,14 +51,6 @@ class TinyDenoiser:
         return self.W2.shape[0]
 
     @property
-    def hidden(self) -> int:
-        return self.W1.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.time_embed.shape[1]
-
-    @property
     def T(self) -> int:
         return self.time_embed.shape[0]
 

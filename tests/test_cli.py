@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from latentedit import verify
 from latentedit.cli import _FIELDS, ConfigError, load_config, main
 from latentedit.fixtures import load_fixture
 from latentedit.grid import read_grid, write_grid, write_mask, LatentGrid, Mask
@@ -295,6 +296,11 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli.verify_mod, "run_checks", lambda: results)
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, check", verify.CHECKS, ids=[name for name, _ in verify.CHECKS])
+    def test_every_check_fails_when_faulted(self, name, check):
+        ok, detail = check(True)
+        assert not ok, f"{name} passed with its fault injected: {detail}"
 
     def test_invalid_fault_name_rejected(self):
         from latentedit.verify import run_checks

@@ -402,6 +402,19 @@ class TestGMMEnergy:
         with pytest.raises(ValueError, match="positive"):
             GMMEnergy(scalar_prior([1.0], [0.0], [0.0]))
 
+    def test_gradient_past_score_overflow(self):
+        # beyond |z| ~ 1e154 ssq overflows for every component, and the max
+        # subtraction would give inf - inf = NaN
+        unit = GMMEnergy(scalar_prior([1.0], [0.0], [1.0]))
+        bimodal = GMMEnergy(scalar_prior([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25]))
+        far = np.array([1e200, -1e200])
+        ordinary = np.array([-1.0, 0.3, 2.2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(unit.grad_chain(far), far)
+            assert np.isfinite(bimodal.grad_chain(far)).all()
+            mixed = bimodal.grad_chain(np.concatenate([far, ordinary]))
+        assert np.array_equal(mixed[2:], bimodal.grad_chain(ordinary))
+
     def test_chain_grad_matches_grid_grad(self):
         prior = scalar_prior([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])
         energy = GMMEnergy(prior)

@@ -26,7 +26,7 @@ from latentedit.sampler import (
     reverse_step,
     sample,
     _CHAIN_BLOCK,
-    _reverse_kernel,
+    _step,
     sample_chains,
 )
 from latentedit.schedule import NoiseSchedule, build_schedule
@@ -68,8 +68,7 @@ def reference_chains(chain_denoiser, n, sched, cfg, rng, prior_init=None):
         z = noise[:, 0].copy()
         step_noise = noise[:, 1:]
     for t in range(sched.T, 0, -1):
-        z = _reverse_kernel(z, t, chain_denoiser(z, t), step_noise[:, sched.T - t], sched,
-                            cfg.method, cfg.add_final_noise)
+        z = _step(z, t, chain_denoiser(z, t), step_noise[:, sched.T - t], sched, cfg)
     return z
 
 
@@ -432,6 +431,15 @@ class TestSample:
         sample_chains(gmm_chain_denoiser(prior, sched50), 64, sched50, SamplerConfig(),
                       RngStream(2), prior_init=prior)
         assert built == []
+
+    def test_chain_divergence_raises(self, sched50):
+        with pytest.raises(DivergenceError, match="non-finite within T=50"):
+            sample_chains(lambda z, t: np.full_like(z, 1e308), 8, sched50,
+                          SamplerConfig(method="ddpm_literal"), RngStream(3))
+
+    def test_chain_prediction_shape_checked(self, sched50):
+        with pytest.raises(ValueError, match="t=50"):
+            sample_chains(lambda z, t: z[:1], 8, sched50, SamplerConfig(), RngStream(3))
 
     def test_chain_count_validation(self, sched200):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])

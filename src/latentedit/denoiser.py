@@ -224,7 +224,8 @@ def _gmm_score_flat(
     peak = log_resp[0]
     for col in log_resp[1:]:
         peak = np.maximum(peak, col)
-    resp = [np.exp(col - peak) for col in log_resp]
+    with np.errstate(invalid="ignore"):  # -inf - -inf, replaced just below
+        resp = [np.exp(col - peak) for col in log_resp]
     if peak.size and peak.min() == -np.inf:
         # ssq overflowed for every component of some point: exp(-inf - -inf)
         # is NaN there, so the components at the peak get weight 1 (= exp(0))

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import LatentGrid, Mask, RngStream, _box_muller, _normal_rows, _philox_uniforms
+from .grid import (
+    LatentGrid, Mask, RngStream, _box_muller, _noise_pool, _normal_rows, _philox_uniforms,
+)
 from .grid import masked_combine  # noqa: F401  perfbench's tracer wraps sampler.masked_combine
 from .schedule import NoiseSchedule
 
@@ -250,8 +252,13 @@ def sample(
     Pin-mode re-noising uses a stream spawned from ``rng``, so masked and
     unmasked runs consume the main stream identically.  Each stream's noise
     is drawn a block of steps at a time (``grid._normal_rows``), bit-identical
-    to one ``normal`` call per step.  The inputs are checked once, on entry;
-    a run whose z_0 is non-finite raises DivergenceError.
+    to one ``normal`` call per step.  When a step draws at least
+    ``grid._POOL_MIN_VALUES`` normals and a second CPU is usable, both streams
+    share one 2-thread pool that computes the Box-Muller transform of the
+    next blocks while the loop steps; the uniforms are still drawn on the
+    calling thread, and the pool is closed before ``sample`` returns or
+    raises.  The inputs are checked once, on entry; a run whose z_0 is
+    non-finite raises DivergenceError.
     """
     h, w, c = shape
     if h < 1 or w < 1 or c < 1:
@@ -263,12 +270,14 @@ def sample(
     _check_shapes(shape, z_init=z_init, z_src=z_src)
     n = h * w * c
     pin_rng = rng.spawn("pin")
-    noise = _normal_rows(rng, n, sched.T + (z_init is None))
-    pin_noise = _normal_rows(pin_rng, n, sched.T) if mode == "pin" else None
-    z = z_init.data if z_init is not None else next(noise).reshape(shape)
     md = mask.data[:, :, None] if mask is not None else None
     src = z_src.data if z_src is not None else None
-    return LatentGrid(_reverse(denoiser, z, noise, sched, cfg, md, src, pin_noise, recon_denoiser))
+    with _noise_pool(n) as pool:
+        noise = _normal_rows(rng, n, sched.T + (z_init is None), pool)
+        pin_noise = _normal_rows(pin_rng, n, sched.T, pool) if mode == "pin" else None
+        z = z_init.data if z_init is not None else next(noise).reshape(shape)
+        z = _reverse(denoiser, z, noise, sched, cfg, md, src, pin_noise, recon_denoiser)
+    return LatentGrid(z)
 
 
 def sample_chains(
@@ -333,12 +342,18 @@ def langevin_chains(
     on a state array of any shape (a grid's values, or independent chains).
 
     ``grad_chain`` maps the state array to a same-shaped energy gradient.
+    The step noise comes from ``grid._normal_rows``, bit-identical to one
+    ``rng.normal(init.shape)`` per step, with its Box-Muller on a 2-thread
+    pool for as large a state as ``sample`` uses one for.  A non-finite
+    state raises DivergenceError naming the step.
     """
     z = np.asarray(init, dtype=np.float64).copy()
     # overflow on the way to a non-finite state is reported by DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _noise_pool(z.size) as pool, np.errstate(over="ignore", invalid="ignore"):
+        noise = _normal_rows(rng, z.size, cfg.steps, pool)
         for i in range(cfg.steps):
-            z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * rng.normal(z.shape)
+            xi = next(noise).reshape(z.shape)
+            z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * xi
             if not np.isfinite(z).all():
                 raise DivergenceError(f"langevin state became non-finite at step {i + 1}")
     return z

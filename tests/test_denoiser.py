@@ -1,5 +1,7 @@
 """Closed-form noise predictors against independent numerical oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -414,6 +416,11 @@ class TestGMMEnergy:
             assert np.isfinite(bimodal.grad_chain(far)).all()
             mixed = bimodal.grad_chain(np.concatenate([far, ordinary]))
         assert np.array_equal(mixed[2:], bimodal.grad_chain(ordinary))
+        # a direct call, outside any errstate, warns about nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(unit.grad_chain(far), far)
+            assert np.array_equal(bimodal.grad_chain(np.concatenate([far, ordinary])), mixed)
 
     def test_chain_grad_matches_grid_grad(self):
         prior = scalar_prior([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])

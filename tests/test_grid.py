@@ -1,5 +1,8 @@
 """Grids, masks, random streams, and the grid file format."""
 
+import contextlib
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from latentedit.grid import (
     Mask,
     RngStream,
     _NORMAL_BLOCK,
+    _POOL_MIN_VALUES,
     _normal_rows,
     _philox_uniforms,
     masked_combine,
@@ -90,14 +94,19 @@ class TestRngStream:
     def test_int_shape_equals_one_tuple(self):
         assert np.array_equal(RngStream(7).normal(3), RngStream(7).normal((3,)))
 
-    @given(n=st.integers(1, 700), count=st.integers(0, 60), seed=st.integers(0, 2**64 - 1))
-    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0)
-    @example(n=_NORMAL_BLOCK + 1, count=3, seed=1)
+    @given(n=st.integers(0, 700), count=st.integers(0, 60), seed=st.integers(0, 2**64 - 1),
+           pooled=st.booleans())
+    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=False)
+    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=True)
+    @example(n=_NORMAL_BLOCK + 1, count=3, seed=1, pooled=False)
+    @example(n=_POOL_MIN_VALUES, count=7, seed=2, pooled=True)  # 1 row a block: 7 blocks
+    @example(n=0, count=3, seed=3, pooled=False)  # an empty Langevin state
     @settings(max_examples=40, deadline=None)
-    def test_normal_rows_equal_successive_normal_calls(self, n, count, seed):
+    def test_normal_rows_equal_successive_normal_calls(self, n, count, seed, pooled):
         rows, calls = RngStream(seed), RngStream(seed)
-        for row in _normal_rows(rows, n, count):
-            assert np.array_equal(row, calls.normal((n,)))
+        with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
+            for row in _normal_rows(rows, n, count, pool):
+                assert np.array_equal(row, calls.normal((n,)))
         assert rows.position == calls.position
         assert np.array_equal(rows.normal((5,)), calls.normal((5,)))
 

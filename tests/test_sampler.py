@@ -1,11 +1,14 @@
 """Forward noising, reverse stepping, masking modes, and Langevin iteration."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import StubRng
+from latentedit import grid
 from latentedit.denoiser import (
     EditInstruction,
     GMMEnergy,
@@ -14,7 +17,7 @@ from latentedit.denoiser import (
     gmm_chain_denoiser,
     gmm_denoiser,
 )
-from latentedit.grid import LatentGrid, Mask, RngStream, masked_combine
+from latentedit.grid import _POOL_MIN_VALUES, LatentGrid, Mask, RngStream, masked_combine
 from latentedit.sampler import (
     DivergenceError,
     LangevinConfig,
@@ -34,6 +37,11 @@ from latentedit.schedule import NoiseSchedule, build_schedule
 
 # E(z) = z^2 / 2 + const: its gradient is z itself, bit for bit
 UNIT_ENERGY = GMMEnergy(GMMPrior.scalar([1.0], [0.0], [1.0]))
+
+# a latent whose per-step noise is at least _POOL_MIN_VALUES draws, so sample
+# computes its Box-Muller on worker threads wherever a second CPU is usable
+POOLED_SHAPE = (128, 128, 2)
+assert np.prod(POOLED_SHAPE) >= _POOL_MIN_VALUES
 
 
 def manual_schedule(betas):
@@ -315,6 +323,8 @@ class TestSample:
              add_final_noise=False, with_init=False)  # 50-row noise blocks: 61 = 50 + 11
     @example(h=1, w=1, c=1, T=1, seed=4, method="euler_ancestral", mode="direction",
              add_final_noise=True, with_init=True)
+    @example(h=128, w=128, c=2, T=6, seed=5, method="ddpm_full", mode="pin",
+             add_final_noise=False, with_init=False)  # pooled Box-Muller: 32,768 values a step
     @settings(max_examples=60, deadline=None)
     def test_sample_equals_per_step_reference(self, h, w, c, T, seed, method, mode,
                                               add_final_noise, with_init):
@@ -441,6 +451,40 @@ class TestSample:
         with pytest.raises(ValueError, match="t=50"):
             sample_chains(lambda z, t: z[:1], 8, sched50, SamplerConfig(), RngStream(3))
 
+    def test_pooled_prediction_shape_error_leaves_no_thread(self):
+        sched = build_schedule("linear", 8, 1e-3, 0.2)
+        bad_t = sched.T - 3
+
+        def denoiser(z, t):
+            return z[:1] if t == bad_t else np.zeros_like(z)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"at t={bad_t} ") as info:
+            sample(denoiser, POOLED_SHAPE, sched, SamplerConfig(), RngStream(0))
+        assert type(info.value) is ValueError
+        assert threading.active_count() == before
+
+    def test_box_muller_error_in_a_worker_surfaces(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        calls = []
+        box_muller = grid._box_muller
+
+        def second_call_fails(u, n):
+            calls.append(n)
+            if len(calls) == 2:
+                raise Boom("second block")
+            return box_muller(u, n)
+
+        monkeypatch.setattr(grid, "_box_muller", second_call_fails)
+        sched = build_schedule("linear", 6, 1e-3, 0.2)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="second block"):
+            sample(lambda z, t: np.zeros_like(z), POOLED_SHAPE, sched, SamplerConfig(),
+                   RngStream(0))
+        assert threading.active_count() == before
+
     def test_chain_count_validation(self, sched200):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])
         with pytest.raises(ValueError, match=">= 1"):
@@ -478,6 +522,33 @@ class TestLangevin:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite"):
             langevin_chains(UNIT_ENERGY.grad_chain, cfg, LatentGrid.constant(2.0, 1, 1, 1).data,
                             RngStream(5))
+
+    @pytest.mark.parametrize("n", [3, _POOL_MIN_VALUES + 1])  # inline, then pooled
+    def test_equals_per_step_reference(self, n):
+        energy = GMMEnergy(GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25]))
+        cfg = LangevinConfig(step_size=0.05, noise_scale=np.linspace(0.3, 0.1, 9), steps=9)
+        init = RngStream(83).normal((n,))
+        rng, ref_rng = RngStream(84), RngStream(84)
+        before = threading.active_count()
+        z = langevin_chains(energy.grad_chain, cfg, init, rng)
+        assert threading.active_count() == before
+        ref = init.copy()
+        for i in range(cfg.steps):
+            xi = ref_rng.normal((n,))
+            ref = ref - 0.5 * cfg.step_size * energy.grad_chain(ref) + cfg.noise_at(i) * xi
+        assert z.tobytes() == ref.tobytes()
+        assert rng.position == ref_rng.position
+
+    def test_pooled_divergence_reports_the_step_and_leaves_no_thread(self):
+        cfg = LangevinConfig(step_size=1e8, noise_scale=0.0, steps=500)
+        with pytest.raises(DivergenceError) as inline:
+            langevin_chains(UNIT_ENERGY.grad_chain, cfg, np.full(1, 2.0), RngStream(5))
+        before = threading.active_count()
+        with pytest.raises(DivergenceError) as pooled:
+            langevin_chains(UNIT_ENERGY.grad_chain, cfg, np.full(_POOL_MIN_VALUES, 2.0),
+                            RngStream(5))
+        assert str(pooled.value) == str(inline.value)
+        assert threading.active_count() == before
 
     def test_step_size_validation(self):
         with pytest.raises(ValueError, match="step_size"):

@@ -1,7 +1,7 @@
 """Quantitative experiments: drift across iteration strategies, edit
 locality across mask modes, and the Langevin/diffusion moment-equivalence
 check.  All experiments are deterministic functions of their seeds and
-emit fixed-schema reports.
+emit fixed-schema reports; each report's ``claims()`` judges its rows.
 
 Report CSV schemas:
   drift     strategy,step,rmse_vs_origin,rmse_vs_prev,latent_mean,latent_std
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import editor as editor_mod
 from . import sampler as sampler_mod
-from .codec import CodecConfig
+from .codec import CodecConfig, encode
 from .denoiser import EditInstruction, GMMEnergy, GMMPrior, gmm_chain_denoiser
 from .grid import LatentGrid, Mask, RngStream, mean_stat, rmse
 from .sampler import LangevinConfig, SamplerConfig
@@ -48,9 +48,50 @@ class Report:
 class DriftReport(Report):
     columns = ("strategy", "step", "rmse_vs_origin", "rmse_vs_prev", "latent_mean", "latent_std")
 
+    def claims(self) -> list[tuple[str, bool, str]]:
+        """``(name, ok, detail)`` lines, leaving out a claim whose strategies
+        did not run, or whose step (step 4) was not reached."""
+        by = {}
+        for row in self.rows:
+            by.setdefault(row[0], []).append(row[2])
+        if "image_iteration" not in by:
+            return []
+        img = by["image_iteration"]
+        claims = [("image-iteration-rmse-non-decreasing",
+                   all(img[i + 1] >= img[i] - 1e-12 for i in range(len(img) - 1)),
+                   f"final {img[-1]:.4f}")]
+        if "latent_iteration" in by:
+            lat = by["latent_iteration"]
+            claims.append(("latent-below-image-from-step-2",
+                           all(lat[e] <= img[e] for e in range(1, len(lat))),
+                           f"latent final {lat[-1]:.4f} vs image final {img[-1]:.4f}"))
+            if len(img) >= 4:
+                claims.append(("latent-final-below-image-step-4", lat[-1] <= img[3],
+                               f"{lat[-1]:.4f} <= {img[3]:.4f}"))
+        return claims
+
 
 class LocalityReport(Report):
     columns = ("mode", "inside_rms", "outside_rms", "ratio")
+
+    def claims(self) -> list[tuple[str, bool, str]]:
+        """``(name, ok, detail)`` lines, leaving out a claim whose modes did not
+        run; a missing ratio counts as 0 in the ordering."""
+        rows = {row[0]: row for row in self.rows}
+        pin, control = rows.get("pin"), rows.get("unmasked")
+        claims = []
+        if pin is not None:
+            claims.append(("pin-outside-exactly-zero", pin[2] == 0.0,
+                           f"outside rms {pin[2]!r}"))
+        if control is not None and control[3] is not None:
+            claims.append(("unmasked-ratio-near-one", 0.8 <= control[3] <= 1.25,
+                           f"ratio {control[3]:.4f}"))
+        if pin is not None and "direction" in rows and control is not None:
+            ratios = (pin[3] or 0.0, rows["direction"][3] or 0.0, control[3] or 0.0)
+            claims.append(("ratio-ordering-pin-direction-unmasked",
+                           ratios[0] < ratios[1] < ratios[2],
+                           "ratios " + " < ".join(f"{r:.4f}" for r in ratios)))
+        return claims
 
 
 class EbmReport(Report):
@@ -58,6 +99,11 @@ class EbmReport(Report):
         "prior", "chains", "diffusion_mean", "diffusion_var",
         "langevin_mean", "langevin_var", "mean_gap", "var_gap_rel", "pass",
     )
+
+    def claims(self) -> list[tuple[str, bool, str]]:
+        """One ``(name, ok, detail)`` line per prior, from its ``pass`` column."""
+        return [(f"moment-equivalence-{row[0]}", bool(row[8]),
+                 f"|dmean|={row[6]:.4f} |dvar|/var={row[7]:.4f}") for row in self.rows]
 
 
 def _format_cell(value) -> str:
@@ -153,9 +199,6 @@ def locality_experiment(
 ) -> LocalityReport:
     """Apply one edit per mask mode plus an unmasked control; measure RMS
     latent change inside and outside the mask region."""
-
-    from .codec import encode
-
     z_src = encode(fixture, codec_cfg)
 
     def run(mode: str | None) -> LatentGrid:

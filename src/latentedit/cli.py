@@ -24,7 +24,7 @@ from . import editor as editor_mod
 from . import training as training_mod
 from . import verify as verify_mod
 from .codec import CodecConfig
-from .denoiser import EditInstruction, GMMPrior
+from .denoiser import EditInstruction, GMMEnergy, GMMPrior
 from .fixtures import fixture_path
 from .grid import LatentGrid, Mask, mean_stat, read_grid, read_mask, write_grid
 from .sampler import MASK_MODES, METHODS, DivergenceError, LangevinConfig, SamplerConfig
@@ -113,7 +113,7 @@ _FIELDS = {
     "bench.fixture": (str, "shipped", lambda v, base_dir: v != "shipped" and _file(v, base_dir)),
     "bench.drift": (dict, {}, None),
     "bench.drift.steps": (int, 16, _at_least(2)),
-    "bench.drift.edit_noise": (float, None, None),
+    "bench.drift.edit_noise": (float, None, _at_least(0)),
     "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _nonempty),
     "bench.drift.strategies[]": (str, _REQUIRED, _one_of(editor_mod.STRATEGIES, "strategy")),
     "bench.locality": (dict, {}, None),
@@ -277,17 +277,16 @@ def _bench_fixture(cfg: dict, base_dir: str, core: dict) -> LatentGrid:
     return fixture
 
 
-def _write_report(report, out: str, name: str, args) -> None:
+def _publish(report, out: str, name: str, args) -> int:
+    """Write a bench report and print one PASS/FAIL line per claim; 1 if any fails."""
     fmt = "json" if args.json else "csv"
     path = os.path.join(out, f"{name}.{fmt}")
     bench_mod.write_report(report, path, fmt)
     print(f"wrote {path}")
-
-
-def _report_lines(lines) -> int:
-    for name, ok, detail in lines:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    return 0 if all(ok for _, ok, _ in lines) else 1
+    claims = report.claims()
+    for claim, ok, detail in claims:
+        print(f"{'PASS' if ok else 'FAIL'}  {claim}: {detail}")
+    return 0 if all(ok for _, ok, _ in claims) else 1
 
 
 def cmd_run_session(cfg: dict, args, base_dir: str) -> int:
@@ -333,31 +332,11 @@ def cmd_bench_drift(cfg: dict, args, base_dir: str) -> int:
     core = _core(cfg)
     fixture = _bench_fixture(cfg, base_dir, core)
     out = _out_dir(cfg)
-
     report = bench_mod.drift_experiment(
         fixture, drift["strategies"], drift["steps"], **core, seed=cfg["seed"],
         **_pick(drift, "edit_noise"),
     )
-    _write_report(report, out, "drift", args)
-
-    by = {}
-    for row in report.rows:
-        by.setdefault(row[0], []).append(row[2])
-    lines = []
-    if "image_iteration" in by:
-        img = by["image_iteration"]
-        mono = all(img[i + 1] >= img[i] - 1e-12 for i in range(len(img) - 1))
-        lines.append(("image-iteration-rmse-non-decreasing", mono,
-                      f"final {img[-1]:.4f}"))
-        if "latent_iteration" in by:
-            lat = by["latent_iteration"]
-            ordered = all(lat[e] <= img[e] for e in range(1, len(lat)))
-            lines.append(("latent-below-image-from-step-2", ordered,
-                          f"latent final {lat[-1]:.4f} vs image final {img[-1]:.4f}"))
-            if len(img) >= 4:
-                lines.append(("latent-final-below-image-step-4", lat[-1] <= img[3],
-                              f"{lat[-1]:.4f} <= {img[3]:.4f}"))
-    return _report_lines(lines)
+    return _publish(report, out, "drift", args)
 
 
 def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
@@ -375,26 +354,9 @@ def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
         mask = Mask(block_mask)
     _at("config.bench.locality", editor_mod.open_session, fixture, [edit], [mask], **core)
     out = _out_dir(cfg)
-
     report = bench_mod.locality_experiment(fixture, edit, mask, loc["modes"], **core,
                                            seed=cfg["seed"])
-    _write_report(report, out, "locality", args)
-
-    rows = {row[0]: row for row in report.rows}
-    lines = []
-    if "pin" in rows:
-        lines.append(("pin-outside-exactly-zero", rows["pin"][2] == 0.0,
-                      f"outside rms {rows['pin'][2]!r}"))
-    control = rows.get("unmasked")
-    if control is not None and control[3] is not None:
-        lines.append(("unmasked-ratio-near-one", 0.8 <= control[3] <= 1.25,
-                      f"ratio {control[3]:.4f}"))
-    if all(k in rows for k in ("pin", "direction")) and control is not None:
-        ratios = (rows["pin"][3] or 0.0, rows["direction"][3] or 0.0, control[3] or 0.0)
-        lines.append(("ratio-ordering-pin-direction-unmasked",
-                      ratios[0] < ratios[1] < ratios[2],
-                      "ratios " + " < ".join(f"{r:.4f}" for r in ratios)))
-    return _report_lines(lines)
+    return _publish(report, out, "locality", args)
 
 
 def cmd_bench_ebm(cfg: dict, args, base_dir: str) -> int:
@@ -403,21 +365,13 @@ def cmd_bench_ebm(cfg: dict, args, base_dir: str) -> int:
     lang_cfg = _at("config.bench.ebm.langevin", LangevinConfig, **ebm["langevin"])
     priors = [(p.get("label", f"prior_{i}"), _prior(p, f"config.bench.ebm.priors[{i}]"))
               for i, p in enumerate(ebm["priors"])]
+    for i, (_, prior) in enumerate(priors):  # Langevin needs GMMEnergy's positive scales
+        _at(f"config.bench.ebm.priors[{i}]", GMMEnergy, prior)
     out = _out_dir(cfg)
-
-    rows = []
-    lines = []
-    for label, prior in priors:
-        report = bench_mod.ebm_equivalence_experiment(
-            prior, sched, lang_cfg, ebm["chains"],
-            sampler_cfg=sampler_cfg, seed=cfg["seed"], label=label,
-        )
-        row = report.rows[0]
-        rows.append(row)
-        lines.append((f"moment-equivalence-{label}", bool(row[8]),
-                      f"|dmean|={row[6]:.4f} |dvar|/var={row[7]:.4f}"))
-    _write_report(bench_mod.EbmReport(rows), out, "ebm", args)
-    return _report_lines(lines)
+    report = bench_mod.EbmReport([bench_mod.ebm_equivalence_experiment(
+        prior, sched, lang_cfg, ebm["chains"], sampler_cfg=sampler_cfg, seed=cfg["seed"],
+        label=label).rows[0] for label, prior in priors])
+    return _publish(report, out, "ebm", args)
 
 
 def cmd_train(cfg: dict, args, base_dir: str) -> int:

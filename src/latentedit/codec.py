@@ -27,8 +27,9 @@ class CodecConfig:
             raise ValueError(f"downsample factor must be >= 1, got {self.downsample}")
         if self.levels < 2:
             raise ValueError(f"quantization levels must be >= 2, got {self.levels}")
-        if self.clamp <= 0:
-            raise ValueError(f"clamp range must be > 0, got {self.clamp}")
+        if not self.clamp > 0 or not np.isfinite(self.cell):
+            raise ValueError(f"clamp range must be > 0 with a finite cell 2 * clamp / levels, "
+                             f"got {self.clamp}")
         if not 0.0 <= self.unsharp < 1.0:
             raise ValueError(f"unsharp gain must be in [0, 1), got {self.unsharp}")
 

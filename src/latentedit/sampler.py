@@ -64,16 +64,16 @@ class LangevinConfig:
     steps: int = 1000
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         scale = self.noise_scale
         if scale is None:
             scale = np.sqrt(self.step_size)  # matches the target density
         scale = np.atleast_1d(np.asarray(scale, dtype=np.float64))
-        if (scale < 0).any():
-            raise ValueError("noise_scale must be nonnegative")
+        if (scale < 0).any() or not np.isfinite(scale).all():
+            raise ValueError("noise_scale must be finite and nonnegative")
         if scale.size not in (1, self.steps):
             raise ValueError(f"noise_scale needs 1 or {self.steps} entries, got {scale.size}")
         scale.setflags(write=False)

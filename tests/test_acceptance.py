@@ -179,8 +179,9 @@ def test_criterion_6_drift_reproduction():
         by.setdefault(row[0], []).append(row[idx])
     lat, img, blr = by["latent_iteration"], by["image_iteration"], by["blur_baseline"]
 
-    mono = all(img[i + 1] >= img[i] - 1e-12 for i in range(15))
-    ordered = all(lat[e] <= img[e] for e in range(1, 16))
+    claims = {name: ok for name, ok, _ in rep.claims()}
+    mono = claims["image-iteration-rmse-non-decreasing"]
+    ordered = claims["latent-below-image-from-step-2"]
     between = lat[15] < blr[15] < img[15]
     ok = mono and ordered and between and elapsed < 60.0
     report(6, "drift-reproduction", ok,

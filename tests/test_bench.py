@@ -197,6 +197,111 @@ class TestEbmEquivalence:
             ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05), 10)
 
 
+def drift_rows(**series):
+    """A DriftReport whose rmse_vs_origin column is ``series[strategy]``."""
+    return DriftReport([(strategy, step, value, 0.0, 0.0, 1.0)
+                        for strategy, values in series.items()
+                        for step, value in enumerate(values, start=1)])
+
+
+def verdicts(report):
+    return {name: ok for name, ok, _ in report.claims()}
+
+
+class TestDriftClaims:
+    IMG = [0.5, 0.6, 0.7, 0.8, 0.9]
+    LAT = [0.55, 0.4, 0.4, 0.4, 0.45]  # above image at step 1 only, which is not claimed
+
+    def test_all_pass_in_order_with_details(self):
+        claims = drift_rows(latent_iteration=self.LAT, image_iteration=self.IMG).claims()
+        assert claims == [
+            ("image-iteration-rmse-non-decreasing", True, "final 0.9000"),
+            ("latent-below-image-from-step-2", True, "latent final 0.4500 vs image final 0.9000"),
+            ("latent-final-below-image-step-4", True, "0.4500 <= 0.8000"),
+        ]
+
+    @pytest.mark.parametrize("img, ok", [([0.5, 0.5 - 1e-13, 0.6, 0.7], True),
+                                         ([0.5, 0.5 - 1e-11, 0.6, 0.7], False),
+                                         ([0.5, 0.7, 0.6, 0.8], False)],
+                             ids=["within-slack", "beyond-slack", "drop"])
+    def test_image_monotone(self, img, ok):
+        assert verdicts(drift_rows(image_iteration=img))["image-iteration-rmse-non-decreasing"] is ok
+
+    def test_latent_above_image_after_step_1_fails(self):
+        lat = [0.4, 0.4, 0.71, 0.4, 0.4]
+        got = verdicts(drift_rows(latent_iteration=lat, image_iteration=self.IMG))
+        assert got["latent-below-image-from-step-2"] is False
+        assert got["latent-final-below-image-step-4"] is True
+
+    def test_latent_final_above_image_step_4_fails(self):
+        img = [0.5, 0.6, 0.7, 0.8, 0.95]
+        lat = [0.4, 0.4, 0.4, 0.4, 0.85]
+        got = verdicts(drift_rows(latent_iteration=lat, image_iteration=img))
+        assert got["latent-below-image-from-step-2"] is True
+        assert got["latent-final-below-image-step-4"] is False
+
+    def test_omissions(self):
+        assert drift_rows(latent_iteration=self.LAT, blur_baseline=self.IMG).claims() == []
+        assert list(verdicts(drift_rows(image_iteration=self.IMG))) == [
+            "image-iteration-rmse-non-decreasing"]
+        three = drift_rows(latent_iteration=self.LAT[:3], image_iteration=self.IMG[:3])
+        assert list(verdicts(three)) == [
+            "image-iteration-rmse-non-decreasing", "latent-below-image-from-step-2"]
+
+
+class TestLocalityClaims:
+    ROWS = {"pin": ("pin", 0.5, 0.0, 0.0), "direction": ("direction", 0.5, 0.05, 0.1),
+            "gate": ("gate", 0.5, 1.5, 3.0), "unmasked": ("unmasked", 0.5, 0.5, 1.0)}
+
+    def report(self, **changes):
+        rows = {**self.ROWS, **changes}
+        return LocalityReport([row for row in rows.values() if row is not None])
+
+    def test_all_pass_in_order_with_details(self):
+        assert self.report().claims() == [
+            ("pin-outside-exactly-zero", True, "outside rms 0.0"),
+            ("unmasked-ratio-near-one", True, "ratio 1.0000"),
+            ("ratio-ordering-pin-direction-unmasked", True, "ratios 0.0000 < 0.1000 < 1.0000"),
+        ]
+
+    def test_pin_outside_change_fails(self):
+        got = verdicts(self.report(pin=("pin", 0.5, 1e-300, 2e-300)))
+        assert got["pin-outside-exactly-zero"] is False
+        assert got["ratio-ordering-pin-direction-unmasked"] is True
+
+    @pytest.mark.parametrize("ratio, ok", [(0.8, True), (1.25, True), (0.79, False), (1.3, False)])
+    def test_unmasked_ratio_band(self, ratio, ok):
+        got = verdicts(self.report(unmasked=("unmasked", 0.5, 0.5 * ratio, ratio)))
+        assert got["unmasked-ratio-near-one"] is ok
+
+    def test_ordering_fails_when_direction_leaks_more_than_control(self):
+        got = verdicts(self.report(direction=("direction", 0.5, 0.6, 1.2)))
+        assert got["ratio-ordering-pin-direction-unmasked"] is False
+
+    def test_missing_ratio_counts_as_zero(self):
+        claims = self.report(unmasked=("unmasked", 0.0, 0.5, None)).claims()
+        assert [name for name, _, _ in claims] == [
+            "pin-outside-exactly-zero", "ratio-ordering-pin-direction-unmasked"]
+        assert claims[1][1:] == (False, "ratios 0.0000 < 0.1000 < 0.0000")
+
+    def test_omissions(self):
+        assert list(verdicts(self.report(pin=None))) == ["unmasked-ratio-near-one"]
+        assert list(verdicts(self.report(direction=None))) == [
+            "pin-outside-exactly-zero", "unmasked-ratio-near-one"]
+        assert list(verdicts(self.report(unmasked=None))) == ["pin-outside-exactly-zero"]
+        assert LocalityReport([]).claims() == []
+
+
+class TestEbmClaims:
+    def test_one_claim_per_prior_from_the_pass_column(self):
+        rows = [("a", 10, 0.0, 1.0, 0.01, 1.02, 0.01, 0.02, True),
+                ("b", 10, 0.0, 1.0, 0.3, 1.5, 0.3, 0.5, False)]
+        assert EbmReport(rows).claims() == [
+            ("moment-equivalence-a", True, "|dmean|=0.0100 |dvar|/var=0.0200"),
+            ("moment-equivalence-b", False, "|dmean|=0.3000 |dvar|/var=0.5000"),
+        ]
+
+
 class TestWriteReport:
     def test_empty_report_is_header_only_csv(self, tmp_path):
         path = str(tmp_path / "empty.csv")

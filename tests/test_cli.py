@@ -188,6 +188,31 @@ class TestBenchCommands:
         assert main(["bench-drift", config, "--out", str(workspace / "d3")]) == 0
         assert "step-4" not in capsys.readouterr().out
 
+    def test_failing_claim_exits_1(self, workspace, capsys):
+        cfg = {"seed": 1, "schedule": {"T": 5}, "sampler": {"method": "ddpm_literal"},
+               "bench": {"drift": {"steps": 2}}}
+        config = write_config(workspace, cfg)
+        assert main(["bench-drift", config, "--out", str(workspace / "dfail")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("PASS  image-iteration-rmse-non-decreasing: ")
+        assert lines[2].startswith("FAIL  latent-below-image-from-step-2: ")
+        assert len(lines) == 3  # two steps: no step-4 claim
+
+    def test_ebm_priors_are_checked_before_any_chain_runs(self, workspace, capsys, monkeypatch):
+        from latentedit import cli
+
+        def experiment(*args, **kwargs):
+            raise AssertionError("a chain ran before every prior was checked")
+
+        monkeypatch.setattr(cli.bench_mod, "ebm_equivalence_experiment", experiment)
+        cfg = base_config(extra={"bench": {"ebm": {"priors": [
+            {"weights": [1.0], "means": [0.0], "scales": [1.0]},
+            {"weights": [1.0], "means": [0.0], "scales": [0.0]},
+        ]}}})
+        config = write_config(workspace, cfg)
+        assert main(["bench-ebm", config, "--out", str(workspace / "ebm0")]) == 2
+        assert "config.bench.ebm.priors[1]: " in capsys.readouterr().err
+
     def test_unknown_bench_name_is_usage_error(self, workspace):
         config = write_config(workspace, base_config())
         with pytest.raises(SystemExit) as excinfo:
@@ -254,6 +279,11 @@ class TestTrainCommand:
         with open(os.path.join(out_b, "loss_trace.csv"), "rb") as fh:
             b = fh.read()
         assert a == b
+
+    def test_zero_scale_prior_is_accepted(self, workspace):
+        cfg = self.base_training(steps=2)
+        cfg["training"]["prior"]["scales"] = [0.0, 0.25]
+        assert main(["train", write_config(workspace, cfg), "--out", str(workspace / "t0")]) == 0
 
     def test_divergence_exits_1_with_one_line(self, workspace, capsys):
         config = write_config(workspace, self.base_training(steps=20, lr=1e200))
@@ -369,10 +399,18 @@ class TestConfigValidation:
         ("run-session", {"codec": {"clamp": float("nan")}}, r"config\.codec\.clamp: expected a"),
         ("run-session", {"codec": {"clamp": 10**400}}, r"config\.codec\.clamp: expected a"),
         ("run-session", {"out_dir": "small.grid"}, r"config\.out_dir: "),
+        ("bench-drift", {"bench": {"drift": {"edit_noise": -1.0}}},
+         r"config\.bench\.drift\.edit_noise: must be >= 0"),
+        ("bench-ebm", {"bench": {"ebm": {"priors": [
+            {"weights": [1.0], "means": [0.0], "scales": [1.0]},
+            {"weights": [0.5, 0.5], "means": [-1.0, 1.0], "scales": [0.0, 0.5]}]}}},
+         r"config\.bench\.ebm\.priors\[1\]: .*strictly positive"),
+        ("run-session", {"codec": {"clamp": 1e308}}, r"config\.codec: .*finite cell"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
-            "nan-number", "huge-integer", "out-dir-is-a-file"])
+            "nan-number", "huge-integer", "out-dir-is-a-file",
+            "negative-edit-noise", "ebm-zero-scale", "clamp-overflows-cell"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         write_grid(LatentGrid(np.zeros((3, 3, 1))), str(workspace / "small.grid"))

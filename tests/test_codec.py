@@ -23,6 +23,9 @@ class TestConfig:
             CodecConfig(levels=1)
         with pytest.raises(ValueError, match="clamp"):
             CodecConfig(clamp=0.0)
+        for clamp in (1e308, float("inf"), float("nan")):  # 2 * clamp / levels overflows
+            with pytest.raises(ValueError, match="finite cell"):
+                CodecConfig(clamp=clamp)
         with pytest.raises(ValueError, match="unsharp"):
             CodecConfig(unsharp=1.0)
 

@@ -553,6 +553,15 @@ class TestLangevin:
     def test_step_size_validation(self):
         with pytest.raises(ValueError, match="step_size"):
             LangevinConfig(step_size=0.0, steps=10)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step_size must be finite"):
+                LangevinConfig(step_size=bad, steps=10)
+
+    @pytest.mark.parametrize("noise_scale", [-0.1, float("nan"), float("inf"), [0.1, float("nan")]],
+                             ids=["negative", "nan", "inf", "nan-entry"])
+    def test_noise_scale_validation(self, noise_scale):
+        with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
+            LangevinConfig(step_size=0.1, noise_scale=noise_scale, steps=2)
 
     def test_noise_defaults_to_sqrt_step(self):
         cfg = LangevinConfig(step_size=0.09, steps=10)

@@ -49,6 +49,14 @@ def _at_least(low: int):
     return lambda value, base_dir: None if value >= low else f"must be >= {low}, got {value}"
 
 
+def _edit_scale(value, base_dir):
+    """``EditInstruction``'s own check of a target spread, run at load time."""
+    try:
+        EditInstruction(id="scale", target_scale=value)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _nonempty(value, base_dir):
     return None if value else "expected a nonempty list"
 
@@ -107,13 +115,13 @@ _FIELDS = {
     "session.edits[].gain[]": (float, _REQUIRED, None),
     "session.edits[].bias": (float, None, None),
     "session.edits[].bias_file": (str, None, _file),
-    "session.edits[].scale": (float, None, None),
+    "session.edits[].scale": (float, None, _edit_scale),
     "session.edits[].mask": (str, None, _file),
     "bench": (dict, {}, None),
     "bench.fixture": (str, "shipped", lambda v, base_dir: v != "shipped" and _file(v, base_dir)),
     "bench.drift": (dict, {}, None),
     "bench.drift.steps": (int, 16, _at_least(2)),
-    "bench.drift.edit_noise": (float, None, _at_least(0)),
+    "bench.drift.edit_noise": (float, None, lambda v, d: _at_least(0)(v, d) or _edit_scale(v, d)),
     "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _nonempty),
     "bench.drift.strategies[]": (str, _REQUIRED, _one_of(editor_mod.STRATEGIES, "strategy")),
     "bench.locality": (dict, {}, None),

@@ -12,6 +12,7 @@ checked against exact moments.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,9 @@ class EditInstruction:
     target_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.target_scale < 0 or not np.isfinite(self.target_scale):
-            raise ValueError(f"target_scale must be finite and >= 0, got {self.target_scale}")
+        s = float(self.target_scale)
+        if not (s >= 0 and math.isfinite(s * s)):  # the denoiser squares it
+            raise ValueError(f"target_scale must be >= 0 with a finite square, got {s!r}")
         if not isinstance(self.bias, LatentGrid):
             if not np.isfinite(float(self.bias)):
                 raise ValueError("bias must be finite")
@@ -299,24 +301,41 @@ def edit_conditional_eps(
 
 
 def _target_eps(
-    z_t: np.ndarray, t: int, mu: np.ndarray, target_scale: float, sched: NoiseSchedule
+    z_t: np.ndarray, t: int, mu: np.ndarray, target_scale, sched: NoiseSchedule
 ) -> np.ndarray:
-    """``edit_conditional_eps`` on arrays, for an already computed target mean mu_y."""
+    """``edit_conditional_eps`` on arrays, for an already computed target mean
+    mu_y.  For a stack of members (leading axis of z_t and mu),
+    ``target_scale`` is a tuple of their spreads, and each member's
+    denominator is the same scalar expression as for one member."""
     if z_t.shape != mu.shape:
         raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
     _check_t(t, sched)
     abar = sched.alpha_bar[t - 1]
-    denom = abar * target_scale**2 + (1.0 - abar)
+    if isinstance(target_scale, tuple):
+        denom = np.array([abar * s**2 + (1.0 - abar) for s in target_scale])
+        denom = denom.reshape(-1, *(1,) * (mu.ndim - 1))
+    else:
+        denom = abar * target_scale**2 + (1.0 - abar)
     return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / denom
 
 
-def edit_denoiser(edit: EditInstruction, z_src: LatentGrid, sched: NoiseSchedule):
+def edit_denoiser(edit, z_src, sched: NoiseSchedule):
     """Denoiser callable conditioned on (z_src, edit); the target mean is
-    computed once, not at every step."""
-    mu = edit.target_mean(z_src).data
+    computed once, not at every step.
+
+    Given equal-length sequences of edits and source latents instead, it
+    predicts for a (k, h, w, c) stack of members, member i conditioned on
+    (z_src[i], edit[i]).  The arithmetic is elementwise, so each member's
+    prediction equals its single-member one bit for bit.
+    """
+    if isinstance(edit, EditInstruction):
+        mu, scale = edit.target_mean(z_src).data, edit.target_scale
+    else:
+        mu = np.stack([e.target_mean(z).data for e, z in zip(edit, z_src, strict=True)])
+        scale = tuple(e.target_scale for e in edit)
 
     def predict(z_t: np.ndarray, t: int) -> np.ndarray:
-        return _target_eps(z_t, t, mu, edit.target_scale, sched)
+        return _target_eps(z_t, t, mu, scale, sched)
 
     return predict
 

@@ -166,48 +166,87 @@ def _conditioning_latent(session: EditSession) -> tuple[LatentGrid, EditInstruct
 def apply_edit(session: EditSession) -> LatentGrid:
     """Run the next edit; appends the decoded image, stores the output latent
     as prev_latent, advances e, and returns the edited image."""
-    if session.done:
-        raise SessionExhausted(
-            f"session has already applied all {len(session.edits)} edits"
-        )
-    e = session.e
-    z_img, edit, f = _conditioning_latent(session)
-    mask = session.masks[e] if session.masks is not None else None
+    return _apply_edits([session])[0]
 
-    edit_rng = RngStream(session.seed).spawn("edit", e)
-    if session.reuse_init:
-        if session.z_init is None:
-            session.z_init = LatentGrid(
-                RngStream(session.seed).spawn("init").normal(z_img.shape)
+
+def _lockstep_fields(session: EditSession) -> dict:
+    """What sessions must share to draw the same noise for the same latent
+    shape in their next edit."""
+    k = session.codec_cfg.downsample
+    return {
+        "seed": session.seed,
+        "e": session.e,
+        "latent shape": (session.original.h // k, session.original.w // k, session.original.c),
+        "sched": session.sched,
+        "sampler_cfg": session.sampler_cfg,
+        "mask": session.masks[session.e] if session.masks is not None else None,
+        "reuse_init": session.reuse_init,
+    }
+
+
+def _apply_edits(sessions) -> list[LatentGrid]:
+    """``apply_edit`` for several sessions at once, stepped in lockstep.
+
+    Sessions that share their seed, edit index, latent shape, schedule,
+    sampler config, mask (the same object, or all None) and reuse_init
+    draw the same noise for this edit, so one reverse loop over a leading
+    member axis draws it once for all of them.  Each session ends in the
+    state, and returns the image, that its own ``apply_edit`` would give,
+    bit for bit.  A session whose sampled latent diverges fails them all.
+    """
+    for session in sessions:
+        if session.done:
+            raise SessionExhausted(
+                f"session has already applied all {len(session.edits)} edits"
             )
-        z_init = session.z_init
-    else:
-        z_init = None
+    if not sessions:
+        return []
+    shared = _lockstep_fields(sessions[0])
+    for session in sessions[1:]:
+        for name, value in _lockstep_fields(session).items():
+            want = shared[name]
+            if not (value is want if name in ("sched", "mask") else value == want):
+                raise ValueError(f"sessions cannot step in lockstep: their {name} differs")
+    first, shape, mask = sessions[0], shared["latent shape"], shared["mask"]
+    z_imgs, edits, factors = zip(*(_conditioning_latent(s) for s in sessions))
+
+    z_init = None
+    if first.reuse_init:
+        for session in sessions:
+            if session.z_init is None:
+                session.z_init = LatentGrid(RngStream(session.seed).spawn("init").normal(shape))
+        z_init = np.stack([s.z_init.data for s in sessions])
 
     recon = None
-    if mask is not None and session.sampler_cfg.mask_mode == "direction":
-        recon_edit = EditInstruction(
-            id="recon", gain=1.0, bias=0.0, target_scale=edit.target_scale
-        )
-        recon = edit_denoiser(recon_edit, z_img, session.sched)
+    if mask is not None and first.sampler_cfg.mask_mode == "direction":
+        recon_edits = [
+            EditInstruction(id="recon", gain=1.0, bias=0.0, target_scale=edit.target_scale)
+            for edit in edits
+        ]
+        recon = edit_denoiser(recon_edits, z_imgs, first.sched)
 
-    z0 = sampler_mod.sample(
-        edit_denoiser(edit, z_img, session.sched),
-        z_img.shape,
-        session.sched,
-        session.sampler_cfg,
-        edit_rng,
-        mask=mask,
-        z_src=z_img,
-        recon_denoiser=recon,
+    z0 = sampler_mod._sample(
+        edit_denoiser(edits, z_imgs, first.sched),
+        shape,
+        first.sched,
+        first.sampler_cfg,
+        RngStream(first.seed).spawn("edit", first.e),
+        md=mask.data[:, :, None] if mask is not None else None,
+        src=np.stack([z.data for z in z_imgs]) if mask is not None else None,
+        recon=recon,
         z_init=z_init,
+        members=(len(sessions),),
     )
-    out = codec_mod.decode(z0, session.codec_cfg)
-    session.outputs.append(out)
-    session.prev_latent = z0
-    session.f_history.append(f)
-    session.e += 1
-    return out
+    outs = []
+    for session, z, f in zip(sessions, z0, factors):
+        latent = LatentGrid(z)
+        out = codec_mod.decode(latent, session.codec_cfg)
+        session.outputs.append(out)
+        session.prev_latent = latent
+        session.f_history.append(f)
+        session.e += 1
+        outs.append(out)
+    return outs
 
 
 def run_all(session: EditSession) -> list[LatentGrid]:

@@ -192,15 +192,15 @@ _AHEAD = 2  # blocks whose Box-Muller a pool may compute before their rows are t
 _POOL_MIN_VALUES = 1 << 15
 
 
-def _normal_rows(rng: RngStream, n: int, count: int, pool=None):
-    """Yield ``count`` vectors of n standard normals, equal bit for bit to
-    ``count`` successive ``rng.normal((n,))`` calls; once every row is
-    taken, ``rng.position`` has advanced by the same amount.
+def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
+    """Yield ``count`` arrays of standard normals of the given shape, equal
+    bit for bit to ``count`` successive ``rng.normal(shape)`` calls; once
+    every row is taken, ``rng.position`` has advanced by the same amount.
 
     ``Generator.random`` consumes its stream in order, so one
-    ``uniform((b, 2 * ceil(n / 2)))`` draw holds the uniforms of b
-    successive calls, one per row; b is as large as ``_NORMAL_BLOCK``
-    uniforms allow, and at least 1.
+    ``uniform((b, 2 * ceil(n / 2)))`` draw, n the number of values in
+    ``shape``, holds the uniforms of b successive calls, one per row; b is
+    as large as ``_NORMAL_BLOCK`` uniforms allow, and at least 1.
 
     With an executor ``pool``, each block's ``_box_muller`` (a pure function
     of its uniforms) is submitted to it, at most ``_AHEAD`` blocks ahead of
@@ -208,20 +208,26 @@ def _normal_rows(rng: RngStream, n: int, count: int, pool=None):
     on earlier rows.  The uniforms are still drawn on the calling thread, in
     stream order, and a worker's exception re-raises here.
     """
+    n = math.prod(shape)
     width = 2 * ((n + 1) // 2)
     rows = max(1, _NORMAL_BLOCK // max(2, width))  # n = 0: an empty Langevin state
     sizes = (min(rows, count - lo) for lo in range(0, count, rows))
     if pool is None:
         for b in sizes:
-            yield from _box_muller(rng.uniform((b, width)), n)
+            yield from _shaped_normals(rng.uniform((b, width)), shape)
         return
     pending = collections.deque()
     for b in sizes:
-        pending.append(pool.submit(_box_muller, rng.uniform((b, width)), n))
+        pending.append(pool.submit(_shaped_normals, rng.uniform((b, width)), shape))
         if len(pending) > _AHEAD:
             yield from pending.popleft().result()
     while pending:
         yield from pending.popleft().result()
+
+
+def _shaped_normals(u: np.ndarray, shape: tuple) -> np.ndarray:
+    """``_box_muller`` of each row of a (b, width) uniform block, shaped (b, *shape)."""
+    return _box_muller(u, math.prod(shape)).reshape(len(u), *shape)
 
 
 def _usable_cpus() -> int:

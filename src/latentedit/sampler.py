@@ -22,6 +22,7 @@ Mask modes for the masked step (mask = 1 marks the editable region):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,8 +216,9 @@ def _predict(denoiser, z: np.ndarray, t: int) -> np.ndarray:
 def _reverse(denoiser, z, noise, sched, cfg, md=None, src=None, pin_noise=None, recon=None):
     """The reverse loop t = T..1 on raw arrays under ``sample`` and ``sample_chains``.
 
-    ``noise`` (and ``pin_noise`` in pin mode) yields z.size draws per step;
-    ``recon`` is the direction-mode reconstruction denoiser.
+    ``noise`` (and ``pin_noise`` in pin mode) yields one draw per step,
+    already shaped to broadcast against z; ``recon`` is the direction-mode
+    reconstruction denoiser.
     """
     direction = md is not None and cfg.mask_mode == "direction"
     # overflow on the way to a non-finite state is reported by DivergenceError
@@ -224,9 +226,8 @@ def _reverse(denoiser, z, noise, sched, cfg, md=None, src=None, pin_noise=None, 
         for t in range(sched.T, 0, -1):
             eps_hat = _predict(denoiser, z, t)
             eps_recon = _predict(recon, z, t) if direction else None
-            xi = next(noise).reshape(z.shape)
-            pin_xi = next(pin_noise).reshape(z.shape) if pin_noise is not None else None
-            z = _step(z, t, eps_hat, xi, sched, cfg, md, src, pin_xi, eps_recon)
+            pin_xi = next(pin_noise) if pin_noise is not None else None
+            z = _step(z, t, eps_hat, next(noise), sched, cfg, md, src, pin_xi, eps_recon)
     # reductions, not isfinite(z).all(): no temporary the size of z
     if not (np.isfinite(z.max()) and np.isfinite(z.min())):
         raise DivergenceError(f"sampled latent became non-finite within T={sched.T} reverse steps")
@@ -264,20 +265,36 @@ def sample(
     if h < 1 or w < 1 or c < 1:
         raise ValueError(f"grid dimensions must be positive, got {h}x{w}x{c}")
     shape = (h, w, c)
-    mode = cfg.mask_mode if mask is not None else None
-    if mode is not None:
-        _check_masked(mask, shape, mode, z_src, recon_denoiser, "denoiser")
+    if mask is not None:
+        _check_masked(mask, shape, cfg.mask_mode, z_src, recon_denoiser, "denoiser")
     _check_shapes(shape, z_init=z_init, z_src=z_src)
-    n = h * w * c
-    pin_rng = rng.spawn("pin")
-    md = mask.data[:, :, None] if mask is not None else None
-    src = z_src.data if z_src is not None else None
-    with _noise_pool(n) as pool:
-        noise = _normal_rows(rng, n, sched.T + (z_init is None), pool)
-        pin_noise = _normal_rows(pin_rng, n, sched.T, pool) if mode == "pin" else None
-        z = z_init.data if z_init is not None else next(noise).reshape(shape)
-        z = _reverse(denoiser, z, noise, sched, cfg, md, src, pin_noise, recon_denoiser)
+    z = _sample(
+        denoiser, shape, sched, cfg, rng,
+        md=mask.data[:, :, None] if mask is not None else None,
+        src=z_src.data if z_src is not None else None,
+        recon=recon_denoiser,
+        z_init=z_init.data if z_init is not None else None,
+    )
     return LatentGrid(z)
+
+
+def _sample(denoiser, shape, sched, cfg, rng, md=None, src=None, recon=None, z_init=None,
+            members=()):
+    """``sample`` on raw arrays, unchecked: the noise draws and the reverse loop.
+
+    With ``members = (k,)`` the state is a (k, *shape) stack of members
+    stepped in lockstep: the denoiser, ``src`` and ``z_init`` carry the
+    member axis, and every member shares z_T, the step noise and the pin
+    noise, each drawn once in one member's layout and broadcast.  So each
+    member's result equals its own ``sample`` run bit for bit.
+    """
+    pin_rng = rng.spawn("pin")
+    pinned = md is not None and cfg.mask_mode == "pin"
+    with _noise_pool(math.prod(shape)) as pool:
+        noise = _normal_rows(rng, shape, sched.T + (z_init is None), pool)
+        pin_noise = _normal_rows(pin_rng, shape, sched.T, pool) if pinned else None
+        z = z_init if z_init is not None else np.broadcast_to(next(noise), members + shape)
+        return _reverse(denoiser, z, noise, sched, cfg, md, src, pin_noise, recon)
 
 
 def sample_chains(
@@ -350,10 +367,9 @@ def langevin_chains(
     z = np.asarray(init, dtype=np.float64).copy()
     # overflow on the way to a non-finite state is reported by DivergenceError
     with _noise_pool(z.size) as pool, np.errstate(over="ignore", invalid="ignore"):
-        noise = _normal_rows(rng, z.size, cfg.steps, pool)
+        noise = _normal_rows(rng, z.shape, cfg.steps, pool)
         for i in range(cfg.steps):
-            xi = next(noise).reshape(z.shape)
-            z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * xi
+            z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * next(noise)
             if not np.isfinite(z).all():
                 raise DivergenceError(f"langevin state became non-finite at step {i + 1}")
     return z

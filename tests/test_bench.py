@@ -1,6 +1,9 @@
 """Quantitative experiments: drift orderings, locality, equivalence, reports."""
 
+import hashlib
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,13 +19,39 @@ from latentedit.bench import (
     locality_experiment,
     write_report,
 )
+from latentedit.codec import CodecConfig
 from latentedit.denoiser import EditInstruction, GMMPrior
+from latentedit.editor import apply_edit, open_session
 from latentedit.fixtures import load_fixture
-from latentedit.grid import Mask
+from latentedit.grid import Mask, mean_stat, rmse
 from latentedit.sampler import LangevinConfig, SamplerConfig
 from latentedit.schedule import build_schedule
 
 STRATEGIES = ("latent_iteration", "image_iteration", "concat_instructions", "blur_baseline")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+# sha256 of repr(rows) of a 3-step, T=20 drift experiment over all four
+# strategies (seed 5), per method, recorded when each strategy's session ran
+# on its own.  Box-Muller's log1p/sin/cos may differ in the last bits on
+# another CPU or numpy build, so the digests hold on the platform that
+# perfbench/reference.json was recorded on.
+GOLDEN_DRIFT = {
+    "ddpm_full": "01969c9d6952f2c381ecfcb31d2d33a47db58b98611721a0b069057f789856ca",
+    "ddpm_literal": "f2e10aa6b906497eb28251f6661b976aec655ec8df5101685f8bcaccd74e7ff4",
+    "euler_ancestral": "4a4768d558a46f1a37d90a926249b4b54f6e51b1f94c3cfecf5d1e3d115a21d6",
+}
+
+
+def recorded_platform() -> bool:
+    """Whether this machine has the platform key of perfbench's reference digests."""
+    with open(os.path.join(PERFBENCH, "reference.json"), encoding="ascii") as fh:
+        want = json.load(fh)["platform"]
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from run import platform_key
+    finally:
+        sys.path.remove(PERFBENCH)
+    return platform_key() == want
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +66,6 @@ def sched():
 
 @pytest.fixture(scope="module")
 def drift_report(fixture_image, sched):
-    from latentedit.codec import CodecConfig
-
     return drift_experiment(
         fixture_image, STRATEGIES, 16,
         sched=sched, sampler_cfg=SamplerConfig(), codec_cfg=CodecConfig(),
@@ -94,8 +121,6 @@ class TestDriftExperiment:
             assert origin == prev
 
     def test_deterministic_rerun(self, fixture_image, sched):
-        from latentedit.codec import CodecConfig
-
         again = drift_experiment(
             fixture_image, STRATEGIES, 16,
             sched=sched, sampler_cfg=SamplerConfig(), codec_cfg=CodecConfig(),
@@ -103,17 +128,40 @@ class TestDriftExperiment:
         )
         assert again.rows == [tuple(r) for r in _rows(fixture_image, sched)]
 
-    def test_step_count_validation(self, fixture_image, sched):
-        from latentedit.codec import CodecConfig
+    @pytest.mark.parametrize("method", sorted(GOLDEN_DRIFT))
+    def test_rows_match_digest_recorded_one_session_at_a_time(self, fixture_image, method):
+        if not recorded_platform():
+            pytest.skip("digests were recorded on another CPU or numpy build")
+        rep = drift_experiment(
+            fixture_image, STRATEGIES, 3, sched=build_schedule("linear", 20),
+            sampler_cfg=SamplerConfig(method=method), codec_cfg=CodecConfig(), seed=5,
+        )
+        assert hashlib.sha256(repr(rep.rows).encode()).hexdigest() == GOLDEN_DRIFT[method]
 
+    def test_rows_equal_sessions_run_one_at_a_time(self, fixture_image):
+        kwargs = dict(sched=build_schedule("linear", 20), sampler_cfg=SamplerConfig(),
+                      codec_cfg=CodecConfig())
+        rows = []
+        for strategy in STRATEGIES:
+            session = open_session(fixture_image, [identity_edit(0.1)] * 3, **kwargs,
+                                   strategy=strategy, seed=6)
+            prev = fixture_image
+            for step in (1, 2, 3):
+                out = apply_edit(session)
+                latent = session.prev_latent
+                rows.append((strategy, step, rmse(out, fixture_image), rmse(out, prev),
+                             mean_stat(latent), float(latent.data.std())))
+                prev = out
+        rep = drift_experiment(fixture_image, STRATEGIES, 3, **kwargs, seed=6, edit_noise=0.1)
+        assert repr(rep.rows) == repr(rows)
+
+    def test_step_count_validation(self, fixture_image, sched):
         with pytest.raises(ValueError, match="steps >= 2"):
             drift_experiment(fixture_image, STRATEGIES, 1, sched=sched,
                              sampler_cfg=SamplerConfig(), codec_cfg=CodecConfig(), seed=5)
 
 
 def _rows(fixture_image, sched):
-    from latentedit.codec import CodecConfig
-
     return drift_experiment(
         fixture_image, STRATEGIES, 16,
         sched=sched, sampler_cfg=SamplerConfig(), codec_cfg=CodecConfig(),
@@ -123,8 +171,6 @@ def _rows(fixture_image, sched):
 
 @pytest.fixture(scope="module")
 def report(fixture_image, sched):
-    from latentedit.codec import CodecConfig
-
     mask = np.zeros((18, 18))
     mask[4:12, 5:14] = 1.0
     return locality_experiment(
@@ -157,8 +203,6 @@ class TestLocalityExperiment:
         assert rows["gate"][3] > 2.0
 
     def test_all_ones_mask_matches_unmasked_control(self, fixture_image, sched):
-        from latentedit.codec import CodecConfig
-
         report = locality_experiment(
             fixture_image,
             EditInstruction(id="brighten", gain=1.0, bias=0.6, target_scale=0.08),

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,20 @@ class TestBenchCommands:
         assert lines[1].startswith("PASS  image-iteration-rmse-non-decreasing: ")
         assert lines[2].startswith("FAIL  latent-below-image-from-step-2: ")
         assert len(lines) == 3  # two steps: no step-4 claim
+
+    def test_ebm_far_off_prior_fails_without_warnings(self, workspace, capsys):
+        # Moments of chains near 1e308 overflow; the verdict is FAIL, and no
+        # numpy RuntimeWarning may reach the output.
+        cfg = {"seed": 0, "schedule": {"T": 5}, "bench": {"ebm": {
+            "chains": 10, "priors": [{"weights": [1.0], "means": [1e308], "scales": [1.0]}]}}}
+        config = write_config(workspace, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bench-ebm", config, "--out", str(workspace / "ebmfar")]) == 1
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("FAIL  moment-equivalence-prior_0: ")
+        assert captured.err == ""
 
     def test_ebm_priors_are_checked_before_any_chain_runs(self, workspace, capsys, monkeypatch):
         from latentedit import cli
@@ -406,11 +421,19 @@ class TestConfigValidation:
             {"weights": [0.5, 0.5], "means": [-1.0, 1.0], "scales": [0.0, 0.5]}]}}},
          r"config\.bench\.ebm\.priors\[1\]: .*strictly positive"),
         ("run-session", {"codec": {"clamp": 1e308}}, r"config\.codec: .*finite cell"),
+        ("run-session", {"session": {"edits": [{"id": "x", "scale": 1e308}]}},
+         r"^config error: config\.session\.edits\[0\]\.scale: .*finite square"),
+        ("bench-drift", {"bench": {"drift": {"steps": 2, "edit_noise": 1e308}}},
+         r"^config error: config\.bench\.drift\.edit_noise: .*finite square"),
+        ("bench-locality", {"bench": {"locality": {"edit": {"id": "e", "scale": 1e308}}}},
+         r"^config error: config\.bench\.locality\.edit\.scale: .*finite square"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
             "nan-number", "huge-integer", "out-dir-is-a-file",
-            "negative-edit-noise", "ebm-zero-scale", "clamp-overflows-cell"])
+            "negative-edit-noise", "ebm-zero-scale", "clamp-overflows-cell",
+            "edit-scale-square-overflows", "edit-noise-square-overflows",
+            "locality-scale-square-overflows"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         write_grid(LatentGrid(np.zeros((3, 3, 1))), str(workspace / "small.grid"))

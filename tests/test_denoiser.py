@@ -280,6 +280,36 @@ class TestEditConditional:
         with pytest.raises(ValueError, match="target_scale"):
             EditInstruction(id="bad", target_scale=-0.1)
 
+    @pytest.mark.parametrize("scale", [1e308, 1.4e154, float("inf"), float("nan")])
+    def test_scale_without_a_finite_square_rejected(self, scale):
+        # the denoiser squares the scale; 1e308 is finite but its square is not
+        with pytest.raises(ValueError, match="target_scale must be >= 0 with a finite square"):
+            EditInstruction(id="bad", target_scale=scale)
+
+    def test_largest_scales_with_a_finite_square_accepted(self):
+        assert EditInstruction(id="ok", target_scale=1.3e154).target_scale == 1.3e154
+
+    def test_member_predictions_equal_single_member_ones(self, sched50):
+        stream = RngStream(12)
+        z_srcs = [LatentGrid(stream.normal((3, 5, 2))) for _ in range(4)]
+        chain = [
+            EditInstruction(id="a", gain=[1.1, 0.9], bias=0.2, target_scale=0.3),
+            EditInstruction(id="b", gain=0.95, bias=LatentGrid(stream.normal((3, 5, 2))),
+                            target_scale=0.07),
+            EditInstruction(id="c", gain=1.2, bias=-0.1, target_scale=0.0),
+        ]
+        # composed (concat) edits carry propagated scales such as sqrt(mean(a^2) s1^2 + s2^2)
+        edits = [chain[0], compose_edits(chain[:2], like=z_srcs[1]),
+                 compose_edits(chain, like=z_srcs[2]), chain[2]]
+        batched = edit_denoiser(edits, z_srcs, sched50)
+        singles = [edit_denoiser(e, z, sched50) for e, z in zip(edits, z_srcs)]
+        z_t = stream.normal((4, 3, 5, 2))
+        for t in (50, 17, 1):
+            got = batched(z_t, t)
+            assert got.shape == z_t.shape
+            for i, single in enumerate(singles):
+                assert np.array_equal(got[i], single(z_t[i], t)), (t, i)
+
 
 class TestComposeEdits:
     def test_single_edit_is_unchanged(self):

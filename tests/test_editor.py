@@ -1,14 +1,21 @@
-"""Edit-session orchestration: strategies, renormalization, determinism."""
+"""Edit-session orchestration: strategies, renormalization, determinism,
+and sessions stepped in lockstep."""
+
+import dataclasses
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from latentedit.codec import encode
+from latentedit.codec import CodecConfig, encode
 from latentedit.denoiser import EditInstruction
 from latentedit.editor import (
     RENORM_MEAN_FLOOR,
     STRATEGIES,
     SessionExhausted,
+    _apply_edits,
     apply_edit,
     open_session,
     renormalize_latent,
@@ -16,6 +23,12 @@ from latentedit.editor import (
 )
 from latentedit.fixtures import load_fixture
 from latentedit.grid import LatentGrid, Mask, RngStream, mean_stat, rmse
+from latentedit.sampler import METHODS, SamplerConfig
+from latentedit.schedule import build_schedule
+
+# a latent whose per-step noise is drawn on worker threads wherever a
+# second CPU is usable (as in test_sampler.py)
+POOLED_SHAPE = (128, 128, 2)
 
 
 def identity(scale=0.0):
@@ -223,3 +236,114 @@ class TestDeterminism:
         assert not np.array_equal(reuse_a.z_init.data,
                                   RngStream(23).spawn("edit", 1).normal(reuse_a.z_init.shape))
         assert outs_f[0].shape == outs_a[0].shape
+
+
+def lockstep_sessions(k, strategies, shape, method, mask_mode, reuse_init, seed, T, steps):
+    """k fresh sessions that may step in lockstep: one seed, schedule, sampler
+    config and mask object, with their own strategy, image and edits."""
+    h, w, c = shape
+    rng = RngStream(seed).spawn("test")
+    sched = build_schedule("linear", T, 1e-3, 0.2)
+    cfg = SamplerConfig(method=method, mask_mode=mask_mode or "pin")
+    mask = None
+    if mask_mode is not None:
+        mask = Mask((rng.uniform((h, w)) < 0.5).astype(float))
+    sessions = []
+    for i in range(k):
+        image = LatentGrid(rng.normal((2 * h, 2 * w, c)))
+        edits = [
+            EditInstruction(
+                id=f"e{j}", gain=list(0.8 + 0.4 * rng.uniform((c,))),
+                bias=float(rng.uniform() - 0.5), target_scale=float(0.3 * rng.uniform()),
+            )
+            for j in range(steps)
+        ]
+        sessions.append(open_session(
+            image, edits, None if mask is None else [mask] * steps, sched=sched,
+            sampler_cfg=cfg, codec_cfg=CodecConfig(), strategy=strategies[i % len(strategies)],
+            seed=seed, reuse_init=reuse_init,
+        ))
+    return sessions
+
+
+def assert_same_state(a, b):
+    assert a.e == b.e
+    assert len(a.outputs) == len(b.outputs)
+    for x, y in zip(a.outputs, b.outputs):
+        assert np.array_equal(x.data, y.data)
+    assert np.array_equal(a.prev_latent.data, b.prev_latent.data)
+    assert a.f_history == b.f_history
+    assert (a.encode_calls, a.renorm_roundtrips) == (b.encode_calls, b.renorm_roundtrips)
+
+
+class TestLockstep:
+    @given(
+        k=st.integers(1, 4),
+        strategies=st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=4),
+        shape=st.sampled_from([(1, 1, 1), (3, 3, 1), (3, 5, 2), (2, 3, 3), (4, 4, 1)]),
+        method=st.sampled_from(METHODS),
+        mask_mode=st.sampled_from([None, "gate", "pin", "direction"]),
+        reuse_init=st.booleans(),
+        seed=st.integers(0, 2**32),
+        T=st.integers(1, 6),
+        steps=st.integers(1, 3),
+    )
+    @example(k=4, strategies=list(STRATEGIES), shape=(3, 3, 1), method="ddpm_full",
+             mask_mode="pin", reuse_init=False, seed=0, T=5, steps=3)
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_equals_sessions_run_one_at_a_time(
+        self, k, strategies, shape, method, mask_mode, reuse_init, seed, T, steps
+    ):
+        args = (k, strategies, shape, method, mask_mode, reuse_init, seed, T, steps)
+        alone = lockstep_sessions(*args)
+        for session in alone:
+            run_all(session)
+        together = lockstep_sessions(*args)
+        for _ in range(steps):
+            outs = _apply_edits(together)
+            assert all(out is s.outputs[-1] for out, s in zip(outs, together))
+        for a, b in zip(together, alone):
+            assert_same_state(a, b)
+
+    @pytest.mark.parametrize("mask_mode", [None, "pin"])
+    def test_pooled_lockstep_equals_one_at_a_time_and_leaves_no_thread(self, mask_mode):
+        args = (2, ["latent_iteration", "image_iteration"], POOLED_SHAPE, "ddpm_full",
+                mask_mode, False, 3, 3, 2)
+        alone = lockstep_sessions(*args)
+        for session in alone:
+            run_all(session)
+        before = threading.active_count()
+        together = lockstep_sessions(*args)
+        for _ in range(2):
+            _apply_edits(together)
+        assert threading.active_count() == before
+        for a, b in zip(together, alone):
+            assert_same_state(a, b)
+
+    @pytest.mark.parametrize("field, change", [
+        ("seed", lambda s: dataclasses.replace(s, seed=s.seed + 1)),
+        ("e", lambda s: dataclasses.replace(s, e=1)),
+        ("latent shape", lambda s: dataclasses.replace(
+            s, original=LatentGrid(np.zeros((8, 6, 1))), masks=None)),
+        ("sched", lambda s: dataclasses.replace(s, sched=build_schedule("linear", 4, 1e-3, 0.2))),
+        ("sampler_cfg", lambda s: dataclasses.replace(
+            s, sampler_cfg=SamplerConfig(method="euler_ancestral"))),
+        ("mask", lambda s: dataclasses.replace(s, masks=[Mask.ones(3, 3)] * 2)),
+        ("reuse_init", lambda s: dataclasses.replace(s, reuse_init=True)),
+    ])
+    def test_precondition_mismatch_names_the_field(self, field, change):
+        first, second = lockstep_sessions(2, ["latent_iteration"], (3, 3, 1), "ddpm_full",
+                                          "pin", False, 1, 4, 2)
+        with pytest.raises(ValueError, match=f"their {field} differs"):
+            _apply_edits([first, change(second)])
+        assert first.e == 0 and first.outputs == [] and first.encode_calls == 0
+
+    def test_exhausted_member_raises(self):
+        first, second = lockstep_sessions(2, ["latent_iteration"], (3, 3, 1), "ddpm_full",
+                                          None, False, 1, 4, 1)
+        apply_edit(second)
+        with pytest.raises(SessionExhausted):
+            _apply_edits([first, second])
+
+    def test_no_sessions(self):
+        assert _apply_edits([]) == []

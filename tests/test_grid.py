@@ -105,7 +105,7 @@ class TestRngStream:
     def test_normal_rows_equal_successive_normal_calls(self, n, count, seed, pooled):
         rows, calls = RngStream(seed), RngStream(seed)
         with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
-            for row in _normal_rows(rows, n, count, pool):
+            for row in _normal_rows(rows, (n,), count, pool):
                 assert np.array_equal(row, calls.normal((n,)))
         assert rows.position == calls.position
         assert np.array_equal(rows.normal((5,)), calls.normal((5,)))

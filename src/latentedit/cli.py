@@ -339,6 +339,11 @@ def cmd_bench_drift(cfg: dict, args, base_dir: str) -> int:
     drift = cfg["bench"]["drift"]
     core = _core(cfg)
     fixture = _bench_fixture(cfg, base_dir, core)
+    # open_session composes a concat_instructions chain, so one that overflows fails here
+    edits = [bench_mod.identity_edit(drift.get("edit_noise", bench_mod.DEFAULT_EDIT_NOISE))]
+    for strategy in drift["strategies"]:
+        _at("config.bench.drift", editor_mod.open_session, fixture, edits * drift["steps"],
+            strategy=strategy, **core)
     out = _out_dir(cfg)
     report = bench_mod.drift_experiment(
         fixture, drift["strategies"], drift["steps"], **core, seed=cfg["seed"],

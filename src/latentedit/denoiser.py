@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _NORMAL_BLOCK, LatentGrid, RngStream, _box_muller
+from .grid import LatentGrid, RngStream, _box_muller, _uniform_rows
 from .schedule import NoiseSchedule
 
 WEIGHT_TOL = 1e-12
@@ -139,6 +139,8 @@ class EditInstruction:
         return LatentGrid(a[None, None, :] * z_src.data + b)
 
 
+# an overflow gives inf or NaN, which EditInstruction and LatentGrid reject
+@np.errstate(over="ignore", invalid="ignore")
 def compose_edits(edits, like: LatentGrid) -> EditInstruction:
     """Collapse a left-to-right chain of affine edits into one.
 
@@ -184,25 +186,6 @@ def _check_t(t: int, sched: NoiseSchedule) -> None:
         raise ValueError(f"timestep {t} out of range [1, {sched.T}]")
 
 
-def _row_sum(cols: list) -> np.ndarray:
-    """Elementwise sum of equal-length columns in the order numpy's ``sum``
-    adds a contiguous row (sequential below 8 terms, then 8 interleaved
-    accumulators, halved above 128), so it equals
-    ``np.stack(cols, axis=1).sum(axis=1)`` bit for bit."""
-    n = len(cols)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _row_sum(cols[:half]) + _row_sum(cols[half:])
-    if n < 8:
-        return functools.reduce(np.add, cols)
-    acc = list(cols[:8])
-    body = n - n % 8
-    for i in range(8, body):
-        acc[i % 8] = acc[i % 8] + cols[i]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    return functools.reduce(np.add, cols[body:], total)
-
-
 def _gmm_score_flat(
     z: np.ndarray,
     mean_mat: np.ndarray,
@@ -232,7 +215,10 @@ def _gmm_score_flat(
         # ssq overflowed for every component of some point: exp(-inf - -inf)
         # is NaN there, so the components at the peak get weight 1 (= exp(0))
         resp = [np.where(col == peak, 1.0, r) for col, r in zip(log_resp, resp)]
-    total = _row_sum(resp)
+    # below 8 terms numpy's row sum is sequential, as reduce is, and faster
+    # for the ebm priors' K = 1, 2; from 8 on it uses interleaved accumulators
+    total = (functools.reduce(np.add, resp) if len(resp) < 8
+             else np.stack(resp, axis=1).sum(axis=1))
     weighted = np.stack([col / total / variances[k] for k, col in enumerate(resp)], axis=1)
     return -np.einsum("mk,mkd->md", weighted, diff)
 
@@ -297,25 +283,21 @@ def edit_conditional_eps(
     giving eps = sqrt(1-abar) * (z_t - sqrt(abar) mu_y) / (abar s_y^2 + 1-abar).
     """
     mu = edit.target_mean(z_src).data
-    return LatentGrid(_target_eps(z_t.data, t, mu, edit.target_scale, sched))
+    return LatentGrid(_target_eps(z_t.data, t, mu, (edit.target_scale,), sched))
 
 
 def _target_eps(
-    z_t: np.ndarray, t: int, mu: np.ndarray, target_scale, sched: NoiseSchedule
+    z_t: np.ndarray, t: int, mu: np.ndarray, target_scales: tuple, sched: NoiseSchedule
 ) -> np.ndarray:
     """``edit_conditional_eps`` on arrays, for an already computed target mean
-    mu_y.  For a stack of members (leading axis of z_t and mu),
-    ``target_scale`` is a tuple of their spreads, and each member's
-    denominator is the same scalar expression as for one member."""
+    mu_y and the spreads of its members, one per entry of the leading axis
+    of mu (a single grid is one member)."""
     if z_t.shape != mu.shape:
         raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
     _check_t(t, sched)
     abar = sched.alpha_bar[t - 1]
-    if isinstance(target_scale, tuple):
-        denom = np.array([abar * s**2 + (1.0 - abar) for s in target_scale])
-        denom = denom.reshape(-1, *(1,) * (mu.ndim - 1))
-    else:
-        denom = abar * target_scale**2 + (1.0 - abar)
+    denom = np.array([abar * s**2 + (1.0 - abar) for s in target_scales])
+    denom = denom.reshape(-1, *(1,) * (mu.ndim - 1))
     return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / denom
 
 
@@ -329,7 +311,7 @@ def edit_denoiser(edit, z_src, sched: NoiseSchedule):
     prediction equals its single-member one bit for bit.
     """
     if isinstance(edit, EditInstruction):
-        mu, scale = edit.target_mean(z_src).data, edit.target_scale
+        mu, scale = edit.target_mean(z_src).data, (edit.target_scale,)
     else:
         mu = np.stack([e.target_mean(z).data for e, z in zip(edit, z_src, strict=True)])
         scale = tuple(e.target_scale for e in edit)
@@ -344,19 +326,15 @@ def _diffusion_batches(prior: GMMPrior, sched: NoiseSchedule, n: int, rng: RngSt
     """Yield ``count`` batches (z0 (n, dim), t (n,), eps (n, dim)) of z_0 ~ prior,
     t ~ Uniform{1..T} and eps ~ N(0, I), equal bit for bit to drawing each
     batch with ``prior.sample_flat(rng, n)``, ``rng.uniform((n,))`` and
-    ``rng.normal((n, dim))``.  ``Generator.random`` consumes its stream in
-    order, so one ``uniform((b, width))`` draw holds b batches' uniforms, one
-    row each, sized as in ``grid._normal_rows``.
+    ``rng.normal((n, dim))``: each row of a ``grid._uniform_rows`` block
+    holds one batch's uniforms.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     nd = n * prior.dim
     half = 2 * ((nd + 1) // 2)
-    width = 2 * (n + half)
-    rows = max(1, _NORMAL_BLOCK // width)
     cdf, means = np.cumsum(prior.weights), prior.mean_matrix()
-    for lo in range(0, count, rows):
-        u = rng.uniform((min(rows, count - lo), width))
+    for u in _uniform_rows(rng, 2 * (n + half), count):
         g = _box_muller(u[:, n : n + half], nd).reshape(-1, n, prior.dim)
         z0 = prior._place(u[:, :n], g, cdf, means)
         t = np.minimum((u[:, n + half : 2 * n + half] * sched.T).astype(np.int64) + 1, sched.T)

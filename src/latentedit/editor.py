@@ -96,6 +96,13 @@ def open_session(
             raise ValueError(
                 f"edit {i} bias grid is {edit.bias.shape}, latent is {(lat_h, lat_w, image.c)}"
             )
+    if strategy == "concat_instructions" and edits:
+        # composing the whole chain builds every prefix the session composes
+        # later, so a chain whose spread, gain or bias overflows fails here
+        try:
+            compose_edits(edits, like=LatentGrid.constant(0.0, lat_h, lat_w, image.c))
+        except ValueError as exc:
+            raise ValueError(f"the concat_instructions chain does not compose: {exc}") from None
     if masks is not None:
         masks = list(masks)
         if len(masks) != len(edits):

@@ -185,22 +185,32 @@ def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
 
 
-_NORMAL_BLOCK = 1 << 14  # uniforms per block draw; bounds _normal_rows' scratch memory
+_NORMAL_BLOCK = 1 << 14  # uniforms per block draw; bounds _uniform_rows' scratch memory
 _AHEAD = 2  # blocks whose Box-Muller a pool may compute before their rows are taken
 # per-row draws at which Box-Muller moves to worker threads; below it the
 # pool was measured no faster (10k Langevin chains) or slower (324 values)
 _POOL_MIN_VALUES = 1 << 15
 
 
+def _uniform_rows(rng: RngStream, width: int, count: int):
+    """Yield ``rng``'s next ``count * width`` uniforms as (b, width) blocks,
+    b as large as ``_NORMAL_BLOCK`` uniforms allow and at least 1.
+
+    ``Generator.random`` consumes its stream in order, so row j of the
+    blocks holds what the j-th of ``count`` successive ``uniform((width,))``
+    calls would draw.
+    """
+    rows = max(1, _NORMAL_BLOCK // max(2, width))  # width 0: an empty Langevin state
+    for lo in range(0, count, rows):
+        yield rng.uniform((min(rows, count - lo), width))
+
+
 def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
     """Yield ``count`` arrays of standard normals of the given shape, equal
     bit for bit to ``count`` successive ``rng.normal(shape)`` calls; once
     every row is taken, ``rng.position`` has advanced by the same amount.
-
-    ``Generator.random`` consumes its stream in order, so one
-    ``uniform((b, 2 * ceil(n / 2)))`` draw, n the number of values in
-    ``shape``, holds the uniforms of b successive calls, one per row; b is
-    as large as ``_NORMAL_BLOCK`` uniforms allow, and at least 1.
+    Each row of a ``_uniform_rows`` block holds one call's
+    2 * ceil(n / 2) uniforms, n the number of values in ``shape``.
 
     With an executor ``pool``, each block's ``_box_muller`` (a pure function
     of its uniforms) is submitted to it, at most ``_AHEAD`` blocks ahead of
@@ -208,17 +218,14 @@ def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
     on earlier rows.  The uniforms are still drawn on the calling thread, in
     stream order, and a worker's exception re-raises here.
     """
-    n = math.prod(shape)
-    width = 2 * ((n + 1) // 2)
-    rows = max(1, _NORMAL_BLOCK // max(2, width))  # n = 0: an empty Langevin state
-    sizes = (min(rows, count - lo) for lo in range(0, count, rows))
+    blocks = _uniform_rows(rng, 2 * ((math.prod(shape) + 1) // 2), count)
     if pool is None:
-        for b in sizes:
-            yield from _shaped_normals(rng.uniform((b, width)), shape)
+        for u in blocks:
+            yield from _shaped_normals(u, shape)
         return
     pending = collections.deque()
-    for b in sizes:
-        pending.append(pool.submit(_shaped_normals, rng.uniform((b, width)), shape))
+    for u in blocks:
+        pending.append(pool.submit(_shaped_normals, u, shape))
         if len(pending) > _AHEAD:
             yield from pending.popleft().result()
     while pending:

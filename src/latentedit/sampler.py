@@ -303,7 +303,7 @@ def sample_chains(
     sched: NoiseSchedule,
     cfg: SamplerConfig,
     rng: RngStream,
-    prior_init=None,
+    prior_init,
 ) -> np.ndarray:
     """Run n independent scalar reverse chains, vectorized over the batch.
 
@@ -315,38 +315,30 @@ def sample_chains(
     drawn a block of chains at a time in one vectorized Philox pass,
     bit-identical to drawing each stream on its own.
 
-    By default chains start at z_T ~ N(0, 1).  When ``prior_init`` is a
-    scalar mixture prior, chains instead start at the exact noised marginal
-    sqrt(abar_T) z_0 + sqrt(1-abar_T) g with z_0 ~ prior.  At T where
-    abar_T is not yet negligible, the N(0, 1) start leaves a residual
-    mean offset of abar_T * mu that no exact reverse chain can remove, so
-    moment experiments use the matched start.
+    Chains start at the exact noised marginal of the scalar mixture prior
+    ``prior_init``: sqrt(abar_T) z_0 + sqrt(1-abar_T) g with z_0 ~ prior.
+    An N(0, 1) start would leave a residual mean offset of abar_T * mu
+    where abar_T is not yet negligible, which no exact reverse chain can
+    remove.
     """
     if n < 1:
         raise ValueError(f"chain count must be >= 1, got {n}")
-    matched = prior_init is not None
-    if matched and prior_init.dim != 1:
+    if prior_init.dim != 1:
         raise ValueError("prior-matched init requires a scalar (1x1x1) prior")
-    draws = sched.T + (2 if matched else 1)
-    lead = 1 if matched else 0  # the component uniform precedes the normals
+    draws = sched.T + 2  # z_0's normal, the start's normal, then one per step
     noise = np.empty((n, draws))
-    comp_u = np.empty(n) if matched else None
+    comp_u = np.empty(n)
     for lo in range(0, n, _CHAIN_BLOCK):
         hi = min(n, lo + _CHAIN_BLOCK)
         keys = np.array([rng.spawn("chain", i).key for i in range(lo, hi)], dtype=np.uint64)
-        u = _philox_uniforms(keys, lead + 2 * ((draws + 1) // 2))
-        if matched:
-            comp_u[lo:hi] = u[:, 0]
-        noise[lo:hi] = _box_muller(u[:, lead:], draws)
-    if matched:
-        abar_T = float(sched.alpha_bar[-1])
-        cdf, means = np.cumsum(prior_init.weights), prior_init.mean_matrix()
-        z0 = prior_init._place(comp_u, noise[:, :1], cdf, means)[:, 0]
-        z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
-    else:
-        z = noise[:, 0].copy()
-    step_noise = noise[:, draws - sched.T:]  # the last T draws, one column per step
-    return _reverse(chain_denoiser, z, iter(step_noise.T), sched, cfg)
+        u = _philox_uniforms(keys, 1 + 2 * ((draws + 1) // 2))
+        comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
+        noise[lo:hi] = _box_muller(u[:, 1:], draws)
+    abar_T = float(sched.alpha_bar[-1])
+    cdf, means = np.cumsum(prior_init.weights), prior_init.mean_matrix()
+    z0 = prior_init._place(comp_u, noise[:, :1], cdf, means)[:, 0]
+    z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
+    return _reverse(chain_denoiser, z, iter(noise[:, 2:].T), sched, cfg)
 
 
 def langevin_chains(
@@ -359,15 +351,14 @@ def langevin_chains(
     on a state array of any shape (a grid's values, or independent chains).
 
     ``grad_chain`` maps the state array to a same-shaped energy gradient.
-    The step noise comes from ``grid._normal_rows``, bit-identical to one
-    ``rng.normal(init.shape)`` per step, with its Box-Muller on a 2-thread
-    pool for as large a state as ``sample`` uses one for.  A non-finite
-    state raises DivergenceError naming the step.
+    The step noise comes from ``grid._normal_rows``, drawn on the calling
+    thread and bit-identical to one ``rng.normal(init.shape)`` per step.  A
+    non-finite state raises DivergenceError naming the step.
     """
     z = np.asarray(init, dtype=np.float64).copy()
     # overflow on the way to a non-finite state is reported by DivergenceError
-    with _noise_pool(z.size) as pool, np.errstate(over="ignore", invalid="ignore"):
-        noise = _normal_rows(rng, z.shape, cfg.steps, pool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = _normal_rows(rng, z.shape, cfg.steps)
         for i in range(cfg.steps):
             z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * next(noise)
             if not np.isfinite(z).all():

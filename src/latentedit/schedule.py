@@ -7,7 +7,7 @@ and t = 0 denotes clean data (never stored in the tables).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,24 +18,27 @@ _COSINE_BETA_MAX = 0.999
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-timestep variance tables: beta, alpha = 1 - beta, the running
-    product alpha_bar, and sigma = sqrt(beta).  Array index i holds timestep
-    t = i + 1.  Immutable after construction."""
+    """Per-timestep variance tables, all derived from the 1-d array ``beta``:
+    alpha = 1 - beta, the running product alpha_bar, and sigma = sqrt(beta).
+    Array index i holds timestep t = i + 1.  Immutable after construction."""
 
-    T: int
+    T: int = field(init=False)
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
-    sigma: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
+    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("beta", "alpha", "alpha_bar", "sigma"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.T,):
-                raise ValueError(f"{name} must have shape ({self.T},), got {arr.shape}")
-            arr = arr.copy()
+        beta = np.array(self.beta, dtype=np.float64)
+        if beta.ndim != 1 or beta.size == 0:
+            raise ValueError(f"beta must be a nonempty 1-d array, got shape {beta.shape}")
+        alpha = 1.0 - beta
+        tables = {"beta": beta, "alpha": alpha, "alpha_bar": np.cumprod(alpha),
+                  "sigma": np.sqrt(beta)}
+        for name, arr in tables.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "T", beta.size)
 
     def query(self, t: int) -> tuple[float, float, float, float]:
         """Return (beta, alpha, alpha_bar, sigma) at timestep t in {1..T}."""
@@ -86,6 +89,4 @@ def build_schedule(
         beta = np.clip(1.0 - abar[1:] / abar[:-1], _COSINE_BETA_MIN, _COSINE_BETA_MAX)
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar, sigma=np.sqrt(beta))
+    return NoiseSchedule(beta)

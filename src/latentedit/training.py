@@ -21,6 +21,7 @@ from .sampler import DivergenceError
 from .schedule import NoiseSchedule
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2")
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 def time_embedding(T: int, dim: int) -> np.ndarray:
@@ -82,18 +83,10 @@ class TrainConfig:
     steps: int
     seed: int = 0
     optimizer: str = "sgd"  # sgd | adam
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0 < self.adam_eps < np.inf:
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
@@ -166,7 +159,7 @@ def train(
     rng = RngStream(cfg.seed).spawn("train")
     trace = np.empty(cfg.steps)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     batches = _diffusion_batches(prior, sched, cfg.batch_size, rng, cfg.steps)
     # overflow on the way to a non-finite loss is reported by DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -182,7 +175,7 @@ def train(
                 k = step + 1
                 m = b1 * m + (1 - b1) * g
                 v = b2 * v + (1 - b2) * g**2
-                flat -= cfg.learning_rate * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + cfg.adam_eps)
+                flat -= cfg.learning_rate * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + _ADAM_EPS)
     # a loss is checked before each update, so only the last update can go unseen
     if not np.isfinite(flat).all():
         raise DivergenceError(f"training parameters became non-finite at step {cfg.steps}")

@@ -18,14 +18,9 @@ from . import codec as codec_mod
 from . import sampler as sampler_mod
 from . import training as training_mod
 from .denoiser import (
-    EditInstruction,
-    GMMEnergy,
-    GMMPrior,
-    edit_conditional_eps,
-    gmm_chain_denoiser,
-    gmm_eps,
+    EditInstruction, GMMEnergy, GMMPrior, edit_denoiser, gmm_chain_denoiser, gmm_eps,
 )
-from .grid import LatentGrid, Mask, RngStream, masked_combine
+from .grid import LatentGrid, Mask, RngStream
 from .sampler import LangevinConfig, SamplerConfig
 from .schedule import build_schedule
 
@@ -102,11 +97,11 @@ def _check_exact_inversion(fault: bool) -> tuple[bool, str]:
     edit = EditInstruction(id="id", gain=1.0, bias=0.0, target_scale=0.0)
     t = 33
     abar = sched.alpha_bar[t - 1]
-    z_t = LatentGrid(np.sqrt(abar) * z_src.data + np.sqrt(1 - abar) * g.data)
-    pred = edit_conditional_eps(z_t, t, edit, z_src, sched)
-    err = float(np.abs(pred.data - g.data).max())
-    if fault:
-        err += 1.0
+    z_t = np.sqrt(abar) * z_src.data + np.sqrt(1 - abar) * g.data
+    if fault:  # condition on a source that did not make z_t
+        z_src = LatentGrid(z_src.data + 0.1)
+    pred = edit_denoiser(edit, z_src, sched)(z_t, t)
+    err = float(np.abs(pred - g.data).max())
     return err < 1e-9, f"max inversion error {err:.2e}"
 
 
@@ -180,37 +175,43 @@ def _check_codec_lattice(fault: bool) -> tuple[bool, str]:
     return err < 1e-9, f"max distance from lattice {err:.2e}"
 
 
-def _check_masking_identity(fault: bool) -> tuple[bool, str]:
+def _masked_sample_inputs(seed: int, shape: tuple) -> tuple:
+    """The schedule, edit denoiser and source latent the masking checks
+    sample with; the edit denoiser is also the direction-mode reconstruction."""
     sched = build_schedule("linear", 30, 1e-3, 0.05)
-    rng = RngStream(71)
-    z = LatentGrid(rng.normal((4, 4, 1)))
-    eps_hat = LatentGrid(rng.normal((4, 4, 1)))
-    src = LatentGrid(rng.normal((4, 4, 1)))
-    ones = Mask.ones(4, 4)
-    for mode in sampler_mod.MASK_MODES:
-        cfg = SamplerConfig(mask_mode=mode)
-        masked = sampler_mod.masked_reverse_step(
-            z, 9, eps_hat, ones, src, sched, cfg, RngStream(72),
-            pin_rng=RngStream(73), eps_recon=eps_hat,
-        )
-        plain = sampler_mod.reverse_step(z, 9, eps_hat, sched, cfg, RngStream(72))
-        same = np.array_equal(masked.data, plain.data)
-        if fault:
-            same = not same
-        if not same:
-            return False, f"mode {mode}: all-ones mask changed the step"
-    return True, "all-ones mask is bit-identical to the unmasked step"
+    rng = RngStream(seed)
+    z_src = LatentGrid(rng.normal(shape))
+    edit = EditInstruction(id="shift", gain=0.8, bias=0.5, target_scale=0.3)
+    return sched, edit_denoiser(edit, z_src, sched), z_src
+
+
+def _check_masking_identity(fault: bool) -> tuple[bool, str]:
+    sched, denoiser, src = _masked_sample_inputs(71, (4, 4, 1))
+    ones = np.ones((4, 4))
+    if fault:
+        ones[2, 1] = 0.0
+    for method in sampler_mod.METHODS:
+        for mode in sampler_mod.MASK_MODES:
+            cfg = SamplerConfig(method=method, mask_mode=mode)
+            masked = sampler_mod.sample(denoiser, src.shape, sched, cfg, RngStream(72),
+                                        mask=Mask(ones), z_src=src, recon_denoiser=denoiser)
+            plain = sampler_mod.sample(denoiser, src.shape, sched, cfg, RngStream(72))
+            if not np.array_equal(masked.data, plain.data):
+                return False, f"{method}, mode {mode}: all-ones mask changed the sample"
+    return True, "all-ones mask is bit-identical to the unmasked sample"
 
 
 def _check_masked_combine(fault: bool) -> tuple[bool, str]:
-    rng = RngStream(81)
-    a = LatentGrid(rng.normal((5, 4, 3)))
-    m = Mask((rng.uniform((5, 4)) > 0.5).astype(float))
-    out = masked_combine(a, a, m)
-    same = np.array_equal(out.data, a.data)
+    sched, denoiser, src = _masked_sample_inputs(81, (5, 4, 3))
+    inside = RngStream(82).uniform((5, 4)) > 0.5
+    editable = inside.astype(float)
     if fault:
-        same = not same
-    return same, "combine(a, a, m) == a" if same else "identity combine failed"
+        editable[~inside] = 1.0  # nothing pinned
+    out = sampler_mod.sample(denoiser, src.shape, sched, SamplerConfig(mask_mode="pin"),
+                             RngStream(83), mask=Mask(editable), z_src=src)
+    same = np.array_equal(out.data[~inside], src.data[~inside])
+    return same, ("pin-mode sample equals the source outside the mask" if same
+                  else "pin-mode sample differs from the source outside the mask")
 
 
 CHECKS = (

@@ -347,6 +347,21 @@ class TestVerifyCommand:
         ok, detail = check(True)
         assert not ok, f"{name} passed with its fault injected: {detail}"
 
+    @pytest.mark.parametrize("corrupt, check", [
+        (lambda md: None, "masked-combine-identity"),
+        (lambda md: 1.0 - md, "masking-ones-identity"),
+    ], ids=["mask-dropped", "mask-inverted"])
+    def test_masking_checks_see_the_mask_sample_applies(self, monkeypatch, corrupt, check):
+        from latentedit import sampler
+
+        reverse = sampler._reverse
+
+        def corrupted(denoiser, z, noise, sched, cfg, md=None, *args):
+            return reverse(denoiser, z, noise, sched, cfg, md if md is None else corrupt(md), *args)
+
+        monkeypatch.setattr(sampler, "_reverse", corrupted)
+        assert check in {r.name for r in verify.run_checks() if not r.ok}
+
     def test_invalid_fault_name_rejected(self):
         from latentedit.verify import run_checks
 
@@ -427,13 +442,21 @@ class TestConfigValidation:
          r"^config error: config\.bench\.drift\.edit_noise: .*finite square"),
         ("bench-locality", {"bench": {"locality": {"edit": {"id": "e", "scale": 1e308}}}},
          r"^config error: config\.bench\.locality\.edit\.scale: .*finite square"),
+        ("run-session", {"session": {"input": "input.grid", "strategy": "concat_instructions",
+                                     "edits": [{"id": "a", "scale": 1e154},
+                                               {"id": "b", "scale": 1e154}]}},
+         r"^config error: config\.session: .*finite square, got inf\n$"),
+        ("bench-drift", {"bench": {"drift": {"strategies": ["concat_instructions"], "steps": 3,
+                                             "edit_noise": 1e154}}},
+         r"^config error: config\.bench\.drift: .*finite square, got inf\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
             "nan-number", "huge-integer", "out-dir-is-a-file",
             "negative-edit-noise", "ebm-zero-scale", "clamp-overflows-cell",
             "edit-scale-square-overflows", "edit-noise-square-overflows",
-            "locality-scale-square-overflows"])
+            "locality-scale-square-overflows", "concat-scale-overflows",
+            "drift-concat-scale-overflows"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         write_grid(LatentGrid(np.zeros((3, 3, 1))), str(workspace / "small.grid"))

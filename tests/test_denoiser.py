@@ -12,7 +12,6 @@ from latentedit.denoiser import (
     GMMEnergy,
     GMMPrior,
     _gmm_score_flat,
-    _row_sum,
     bayes_loss_estimate,
     compose_edits,
     edit_conditional_eps,
@@ -406,15 +405,10 @@ class TestScoreBitExact:
         args = random_mixture(seed, m, k, d)
         assert np.array_equal(_gmm_score_flat(*args), reference_score(*args))
 
-    @pytest.mark.parametrize("k", [8, 9, 17, 130])
+    @pytest.mark.parametrize("k", [7, 8, 9, 17, 130])
     def test_many_components_equal_axis_form(self, k):
         args = random_mixture(k, 25, k, 2)
         assert np.array_equal(_gmm_score_flat(*args), reference_score(*args))
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 23, 128, 129, 300])
-    def test_row_sum_follows_numpy_order(self, n):
-        rows = np.exp(np.random.default_rng(n).normal(size=(30, n)) * 5.0)
-        assert np.array_equal(_row_sum([rows[:, i] for i in range(n)]), rows.sum(axis=1))
 
 
 class TestGMMEnergy:

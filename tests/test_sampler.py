@@ -45,36 +45,25 @@ assert np.prod(POOLED_SHAPE) >= _POOL_MIN_VALUES
 
 
 def manual_schedule(betas):
-    """Direct table construction, for edge cases outside build_schedule's range."""
-    betas = np.asarray(betas, dtype=np.float64)
-    alpha = 1.0 - betas
-    return NoiseSchedule(
-        T=len(betas), beta=betas, alpha=alpha,
-        alpha_bar=np.cumprod(alpha), sigma=np.sqrt(betas),
-    )
+    """A schedule from explicit betas, for edge cases outside build_schedule's range."""
+    return NoiseSchedule(beta=betas)
 
 
-def reference_chains(chain_denoiser, n, sched, cfg, rng, prior_init=None):
+def reference_chains(chain_denoiser, n, sched, cfg, rng, prior_init):
     """``sample_chains`` drawing each chain's stream on its own, one chain at a time."""
-    matched = prior_init is not None
-    draws = sched.T + (2 if matched else 1)
+    draws = sched.T + 2
     noise = np.empty((n, draws))
     comp_u = np.empty(n)
     for i in range(n):
         stream = rng.spawn("chain", i)
-        if matched:
-            comp_u[i] = stream.uniform(())
+        comp_u[i] = stream.uniform(())
         noise[i] = stream.normal((draws,))
-    if matched:
-        abar_T = float(sched.alpha_bar[-1])
-        comp = np.minimum(np.searchsorted(np.cumsum(prior_init.weights), comp_u, side="right"),
-                          prior_init.k - 1)
-        z0 = prior_init.mean_matrix()[comp, 0] + prior_init.scales[comp] * noise[:, 0]
-        z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
-        step_noise = noise[:, 2:]
-    else:
-        z = noise[:, 0].copy()
-        step_noise = noise[:, 1:]
+    abar_T = float(sched.alpha_bar[-1])
+    comp = np.minimum(np.searchsorted(np.cumsum(prior_init.weights), comp_u, side="right"),
+                      prior_init.k - 1)
+    z0 = prior_init.mean_matrix()[comp, 0] + prior_init.scales[comp] * noise[:, 0]
+    z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
+    step_noise = noise[:, 2:]
     for t in range(sched.T, 0, -1):
         z = _step(z, t, chain_denoiser(z, t), step_noise[:, sched.T - t], sched, cfg)
     return z
@@ -406,19 +395,17 @@ class TestSample:
         seed=st.integers(0, 2**64 - 1),
         T=st.integers(1, 9),
         k=st.integers(1, 3),
-        matched=st.booleans(),
         method=st.sampled_from(["ddpm_full", "euler_ancestral"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_chains_equal_per_chain_reference(self, n, seed, T, k, matched, method):
+    def test_chains_equal_per_chain_reference(self, n, seed, T, k, method):
         sched = build_schedule("linear", T, 1e-3, 0.2)
         prior = GMMPrior.scalar(np.full(k, 1.0 / k), np.linspace(-2.0, 2.0, k), np.full(k, 0.5))
         cfg = SamplerConfig(method=method)
-        init = prior if matched else None
         got = sample_chains(gmm_chain_denoiser(prior, sched), n, sched, cfg, RngStream(seed),
-                            prior_init=init)
+                            prior_init=prior)
         expected = reference_chains(gmm_chain_denoiser(prior, sched), n, sched, cfg,
-                                    RngStream(seed), prior_init=init)
+                                    RngStream(seed), prior_init=prior)
         assert np.array_equal(got, expected)
 
     def test_chains_across_block_boundary_equal_reference(self, sched50):
@@ -445,11 +432,13 @@ class TestSample:
     def test_chain_divergence_raises(self, sched50):
         with pytest.raises(DivergenceError, match="non-finite within T=50"):
             sample_chains(lambda z, t: np.full_like(z, 1e308), 8, sched50,
-                          SamplerConfig(method="ddpm_literal"), RngStream(3))
+                          SamplerConfig(method="ddpm_literal"), RngStream(3),
+                          prior_init=UNIT_ENERGY.prior)
 
     def test_chain_prediction_shape_checked(self, sched50):
         with pytest.raises(ValueError, match="t=50"):
-            sample_chains(lambda z, t: z[:1], 8, sched50, SamplerConfig(), RngStream(3))
+            sample_chains(lambda z, t: z[:1], 8, sched50, SamplerConfig(), RngStream(3),
+                          prior_init=UNIT_ENERGY.prior)
 
     def test_pooled_prediction_shape_error_leaves_no_thread(self):
         sched = build_schedule("linear", 8, 1e-3, 0.2)
@@ -489,7 +478,7 @@ class TestSample:
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])
         with pytest.raises(ValueError, match=">= 1"):
             sample_chains(gmm_chain_denoiser(prior, sched200), 0, sched200,
-                          SamplerConfig(), RngStream(1))
+                          SamplerConfig(), RngStream(1), prior_init=prior)
 
 
 class TestLangevin:
@@ -523,7 +512,7 @@ class TestLangevin:
             langevin_chains(UNIT_ENERGY.grad_chain, cfg, LatentGrid.constant(2.0, 1, 1, 1).data,
                             RngStream(5))
 
-    @pytest.mark.parametrize("n", [3, _POOL_MIN_VALUES + 1])  # inline, then pooled
+    @pytest.mark.parametrize("n", [3, _POOL_MIN_VALUES + 1])  # below, then above sample's pool cut
     def test_equals_per_step_reference(self, n):
         energy = GMMEnergy(GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25]))
         cfg = LangevinConfig(step_size=0.05, noise_scale=np.linspace(0.3, 0.1, 9), steps=9)

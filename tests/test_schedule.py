@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentedit.schedule import build_schedule
+from latentedit.schedule import NoiseSchedule, build_schedule
 
 
 class TestLinearSchedule:
@@ -102,3 +102,27 @@ class TestInvariants:
         sched = build_schedule("linear", 4, 0.1, 0.4)
         with pytest.raises(ValueError):
             sched.beta[0] = 0.5
+
+
+class TestFromBetas:
+    @given(st.one_of(
+        st.builds(lambda T, b0, b1: build_schedule("linear", T, b0, b1).beta,
+                  st.integers(1, 400), st.floats(1e-6, 0.02), st.floats(0.02, 0.5)),
+        st.builds(lambda T: build_schedule("cosine", T).beta, st.integers(1, 400)),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50).map(np.array),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_are_derived_from_beta(self, b):
+        sched = NoiseSchedule(beta=b)
+        assert sched.T == len(b)
+        for name, want in (("beta", b), ("alpha", 1.0 - b),
+                           ("alpha_bar", np.cumprod(1.0 - b)), ("sigma", np.sqrt(b))):
+            got = getattr(sched, name)
+            assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes(), name
+            assert not got.flags.writeable, name
+
+    @pytest.mark.parametrize("beta", [np.float64(0.1), np.full((2, 3), 0.1), np.empty(0)],
+                             ids=["0-d", "2-d", "empty"])
+    def test_rejects_beta_that_is_not_a_nonempty_vector(self, beta):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            NoiseSchedule(beta=beta)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentedit import denoiser
+from latentedit import grid
 from latentedit.denoiser import GMMPrior, bayes_loss_estimate, gmm_eps
 from latentedit.grid import GridParseError, LatentGrid, RngStream
 from latentedit.sampler import DivergenceError, SamplerConfig, sample_chains
@@ -69,6 +69,9 @@ def ref_sample_batch(prior, sched, n, rng):
     return z0, t, eps
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 def ref_train(model, prior, sched, cfg):
     """``train`` as a per-step draw and a per-parameter SGD/Adam loop: the
     reference the block-drawn, flat-vector optimiser equals bit for bit."""
@@ -89,11 +92,11 @@ def ref_train(model, prior, sched, cfg):
         else:
             k = step + 1
             for name, g in grads.items():
-                m = moments1[name] = cfg.adam_beta1 * moments1[name] + (1 - cfg.adam_beta1) * g
-                v = moments2[name] = cfg.adam_beta2 * moments2[name] + (1 - cfg.adam_beta2) * g**2
-                m_hat = m / (1 - cfg.adam_beta1**k)
-                v_hat = v / (1 - cfg.adam_beta2**k)
-                getattr(model, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                m = moments1[name] = ADAM_BETA1 * moments1[name] + (1 - ADAM_BETA1) * g
+                v = moments2[name] = ADAM_BETA2 * moments2[name] + (1 - ADAM_BETA2) * g**2
+                m_hat = m / (1 - ADAM_BETA1**k)
+                v_hat = v / (1 - ADAM_BETA2**k)
+                getattr(model, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return model, trace
 
 
@@ -318,17 +321,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -0.1), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-        ("adam_beta1", -0.1), ("adam_beta1", 1.0), ("adam_beta1", float("nan")),
-        ("adam_beta2", -0.1), ("adam_beta2", 1.0), ("adam_beta2", float("nan")),
-        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", float("inf")), ("adam_eps", float("nan")),
     ])
     def test_config_rejects_bad_field(self, field, value):
         kwargs = {"learning_rate": 0.1, "batch_size": 1, "steps": 1, field: value}
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
-
-    def test_config_accepts_zero_betas(self):
-        TrainConfig(learning_rate=0.0, batch_size=1, steps=1, adam_beta1=0.0, adam_beta2=0.0)
 
 
 class TestBlockDrawsAndFlatOptimiser:
@@ -352,7 +349,7 @@ class TestBlockDrawsAndFlatOptimiser:
         model = TinyDenoiser.init(d=d, T=20, hidden=8, embed_dim=4, seed=seed % 7)
         cfg = TrainConfig(learning_rate=0.05, batch_size=batch, steps=steps, seed=seed,
                           optimizer=optimizer)
-        with mock.patch.object(denoiser, "_NORMAL_BLOCK", rows * width + spare % width):
+        with mock.patch.object(grid, "_NORMAL_BLOCK", rows * width + spare % width):
             assert_same_training(model, mixture(d, seed), cfg)
 
     @pytest.mark.parametrize("batch, d, wide", [(128, 1, False), (2100, 3, True)])
@@ -360,8 +357,8 @@ class TestBlockDrawsAndFlatOptimiser:
     def test_train_equals_reference_at_the_real_block_size(self, batch, d, wide, optimizer):
         # a wide batch takes more uniforms than a block holds, so each block
         # holds one step; either way the run crosses two block boundaries
-        assert (batch_width(batch, d) > denoiser._NORMAL_BLOCK) == wide
-        rows = max(1, denoiser._NORMAL_BLOCK // batch_width(batch, d))
+        assert (batch_width(batch, d) > grid._NORMAL_BLOCK) == wide
+        rows = max(1, grid._NORMAL_BLOCK // batch_width(batch, d))
         model = TinyDenoiser.init(d=d, T=20, hidden=8, embed_dim=4, seed=d)
         cfg = TrainConfig(learning_rate=0.05, batch_size=batch, steps=2 * rows + 1, seed=3,
                           optimizer=optimizer)
@@ -385,7 +382,7 @@ class TestBlockDrawsAndFlatOptimiser:
         # these rates diverge at steps 42 and 3, past the first 2-step block
         model = TinyDenoiser.init(d=2, T=20, hidden=8, embed_dim=4, seed=2)
         cfg = TrainConfig(learning_rate=lr, batch_size=8, steps=50, seed=5, optimizer=optimizer)
-        with mock.patch.object(denoiser, "_NORMAL_BLOCK", 2 * batch_width(8, 2)):
+        with mock.patch.object(grid, "_NORMAL_BLOCK", 2 * batch_width(8, 2)):
             with pytest.raises(DivergenceError) as got:
                 train(model, mixture(2), SCHED20, cfg)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as want:

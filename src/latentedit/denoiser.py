@@ -199,8 +199,10 @@ def _gmm_score_flat(
     every component (|z| beyond about 1e154), the components tied at the
     peak share the weight instead of giving NaN.
     """
-    dim = z.shape[1]
-    diff = z[:, None, :] - mean_mat[None, :, :]  # (m, K, D)
+    m, dim = z.shape
+    diff = np.empty((m, len(weights), dim))
+    for k, mean in enumerate(mean_mat):
+        np.subtract(z, mean, out=diff[:, k, :])
     ssq = np.einsum("mkd,mkd->mk", diff, diff)
     # Per component (column), not over an axis of length K: the same
     # operations in the same order, so bit-identical to the (m, K) form.
@@ -219,7 +221,10 @@ def _gmm_score_flat(
     # for the ebm priors' K = 1, 2; from 8 on it uses interleaved accumulators
     total = (functools.reduce(np.add, resp) if len(resp) < 8
              else np.stack(resp, axis=1).sum(axis=1))
-    weighted = np.stack([col / total / variances[k] for k, col in enumerate(resp)], axis=1)
+    weighted = np.empty((m, len(resp)))
+    for k, col in enumerate(resp):
+        np.divide(col / total, variances[k], out=weighted[:, k])
+    # not a sum over k: einsum's order over k differs from it at D = 1, K >= 3
     return -np.einsum("mk,mkd->md", weighted, diff)
 
 

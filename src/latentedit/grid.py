@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -121,6 +122,7 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+@functools.lru_cache  # spawn hashes the same few path strings, once per chain
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
@@ -260,46 +262,28 @@ def _noise_pool(n: int):
         yield pool
 
 
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LO32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)  # bits in a half word
-
-
-def _mulhilo64(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b, from 32-bit halves."""
-    a_lo, a_hi = a & _LO32, a >> _HALF
-    b_lo, b_hi = b & _LO32, b >> _HALF
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = ((a_lo * b_lo) >> _HALF) + (lh & _LO32) + (hl & _LO32)
-    return a_hi * b_hi + (lh >> _HALF) + (hl >> _HALF) + (mid >> _HALF), a * b
-
-
-def _philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of ``RngStream``-style Philox4x64-10
-    streams, one row per key: row i equals
+def _keyed_uniforms(keys, count: int, block: int):
+    """Yield ``count`` uniforms for each key of the iterable ``keys``, as
+    (b, count) blocks of ``block`` rows (fewer at the end): row i equals
     ``Generator(Philox(key=keys[i])).random(count)`` bit for bit.
 
-    Block b of a stream is Philox4x64-10 of counter (b + 1, 0, 0, 0) (numpy
-    increments the counter before generating) under key (keys[i], 0); its
-    four 64-bit words give four uniforms ``(x >> 11) * 2**-53``.  See Salmon
-    et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11.
+    One Philox serves every row.  Before each row its public ``state``
+    setter puts it in the state ``Philox(key=k)`` starts in: key (k, 0), a
+    zero counter and an empty 4-word output buffer, so no word left over
+    from the previous row is used.
     """
-    blocks = (count + 3) // 4
-    shape = (len(keys), blocks)
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
-    k0 = np.asarray(keys, dtype=np.uint64)[:, None]
-    k1 = np.uint64(0)
-    with np.errstate(over="ignore"):
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo64(x0, _PHILOX_M[0])
-            hi1, lo1 = _mulhilo64(x2, _PHILOX_M[1])
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(keys), 4 * blocks)[:, :count]
-    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = iter(keys)
+    while chunk := list(itertools.islice(keys, block)):
+        out = np.empty((len(chunk), count))
+        for key, row in zip(chunk, out):
+            fresh["state"]["key"][0] = key
+            bits.state = fresh
+            gen.random(out=row)
+        yield out
 
 
 def mean_stat(g: LatentGrid) -> float:
@@ -405,7 +389,7 @@ def write_grid(g: LatentGrid, path: str) -> None:
 def _write_rows(fh, rows: np.ndarray) -> None:
     """The value lines of a GRID block: one line per row of a 2-d array."""
     for row in rows:
-        fh.write(" ".join(repr(v) for v in row.tolist()))
+        fh.write(" ".join(map(repr, row.tolist())))
         fh.write("\n")
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    LatentGrid, Mask, RngStream, _box_muller, _noise_pool, _normal_rows, _philox_uniforms,
+    LatentGrid, Mask, RngStream, _box_muller, _keyed_uniforms, _noise_pool, _normal_rows,
 )
 from .grid import masked_combine  # noqa: F401  perfbench's tracer wraps sampler.masked_combine
 from .schedule import NoiseSchedule
@@ -311,9 +311,10 @@ def sample_chains(
     prediction, checked at every step; a non-finite result raises
     DivergenceError.  Each chain's noise comes from its own stream spawned
     from ``rng`` (chain index as the derivation path), so results do not
-    depend on how the batch is partitioned or parallelized.  The streams are
-    drawn a block of chains at a time in one vectorized Philox pass,
-    bit-identical to drawing each stream on its own.
+    depend on how the batch is partitioned or parallelized.  One numpy
+    Philox, re-keyed per chain (``grid._keyed_uniforms``), draws the streams
+    a block of chains at a time, bit-identical to drawing each stream on
+    its own.
 
     Chains start at the exact noised marginal of the scalar mixture prior
     ``prior_init``: sqrt(abar_T) z_0 + sqrt(1-abar_T) g with z_0 ~ prior.
@@ -326,19 +327,19 @@ def sample_chains(
     if prior_init.dim != 1:
         raise ValueError("prior-matched init requires a scalar (1x1x1) prior")
     draws = sched.T + 2  # z_0's normal, the start's normal, then one per step
-    noise = np.empty((n, draws))
+    noise = np.empty((draws, n))  # step-major: each step reads one contiguous row
     comp_u = np.empty(n)
-    for lo in range(0, n, _CHAIN_BLOCK):
-        hi = min(n, lo + _CHAIN_BLOCK)
-        keys = np.array([rng.spawn("chain", i).key for i in range(lo, hi)], dtype=np.uint64)
-        u = _philox_uniforms(keys, 1 + 2 * ((draws + 1) // 2))
+    keys = (rng.spawn("chain", i).key for i in range(n))
+    blocks = _keyed_uniforms(keys, 1 + 2 * ((draws + 1) // 2), _CHAIN_BLOCK)
+    for lo, u in zip(range(0, n, _CHAIN_BLOCK), blocks):
+        hi = lo + len(u)
         comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
-        noise[lo:hi] = _box_muller(u[:, 1:], draws)
+        noise[:, lo:hi] = _box_muller(u[:, 1:], draws).T
     abar_T = float(sched.alpha_bar[-1])
     cdf, means = np.cumsum(prior_init.weights), prior_init.mean_matrix()
-    z0 = prior_init._place(comp_u, noise[:, :1], cdf, means)[:, 0]
-    z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
-    return _reverse(chain_denoiser, z, iter(noise[:, 2:].T), sched, cfg)
+    z0 = prior_init._place(comp_u, noise[0][:, None], cdf, means)[:, 0]
+    z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[1]
+    return _reverse(chain_denoiser, z, iter(noise[2:]), sched, cfg)
 
 
 def langevin_chains(

@@ -18,9 +18,10 @@ _COSINE_BETA_MAX = 0.999
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-timestep variance tables, all derived from the 1-d array ``beta``:
-    alpha = 1 - beta, the running product alpha_bar, and sigma = sqrt(beta).
-    Array index i holds timestep t = i + 1.  Immutable after construction."""
+    """Per-timestep variance tables, all derived from the 1-d array ``beta``,
+    each entry in [0, 1): alpha = 1 - beta, the running product alpha_bar,
+    and sigma = sqrt(beta).  Array index i holds timestep t = i + 1.
+    Immutable after construction."""
 
     T: int = field(init=False)
     beta: np.ndarray
@@ -32,6 +33,9 @@ class NoiseSchedule:
         beta = np.array(self.beta, dtype=np.float64)
         if beta.ndim != 1 or beta.size == 0:
             raise ValueError(f"beta must be a nonempty 1-d array, got shape {beta.shape}")
+        bad = np.flatnonzero(~((beta >= 0.0) & (beta < 1.0)))  # NaN fails both tests
+        if bad.size:
+            raise ValueError(f"beta[{bad[0]}] must be finite and in [0, 1), got {beta[bad[0]]}")
         alpha = 1.0 - beta
         tables = {"beta": beta, "alpha": alpha, "alpha_bar": np.cumprod(alpha),
                   "sigma": np.sqrt(beta)}

@@ -41,6 +41,11 @@ GOLDEN_DRIFT = {
     "euler_ancestral": "4a4768d558a46f1a37d90a926249b4b54f6e51b1f94c3cfecf5d1e3d115a21d6",
 }
 
+# sha256 of repr(rows) of both default bench-ebm priors at 300 chains, T=20
+# and 30 Langevin steps (seed 5), recorded while each chain's Philox stream
+# was computed by a uint64 emulation; same platform caveat as above.
+GOLDEN_EBM = "36f9a7b85933ce534edb791b00c85ec243582d9c859446a74db373bbefba7e3e"
+
 
 def recorded_platform() -> bool:
     """Whether this machine has the platform key of perfbench's reference digests."""
@@ -226,6 +231,17 @@ class TestEbmEquivalence:
         assert abs(row[2]) < 0.05  # diffusion mean near 0
         assert abs(row[4]) < 0.05  # langevin mean near 0
         assert row[8] is True
+
+    def test_rows_match_digest(self):
+        if not recorded_platform():
+            pytest.skip("digests were recorded on another CPU or numpy build")
+        priors = (("single_gaussian", GMMPrior.scalar([1.0], [3.0], [1.0])),
+                  ("bimodal", GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])))
+        rows = [row for label, prior in priors
+                for row in ebm_equivalence_experiment(
+                    prior, build_schedule("linear", 20), LangevinConfig(step_size=0.05, steps=30),
+                    300, seed=5, label=label).rows]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == GOLDEN_EBM
 
     def test_zero_chains_rejected(self, sched):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])

@@ -66,7 +66,9 @@ def numerical_log_q_gradient(z: LatentGrid, t, prior, sched, step=1e-4):
 
 def reference_score(z, mean_mat, weights, variances):
     """``_gmm_score_flat`` as it was written over the (m, K) axis, kept as
-    the bit-exact oracle for the per-component form."""
+    the bit-exact oracle for the per-component form.  Where ssq overflows
+    for every component of a point, the components tied at the peak share
+    the weight, as in ``_gmm_score_flat``."""
     m, dim = z.shape
     diff = z[:, None, :] - mean_mat[None, :, :]
     ssq = np.einsum("mkd,mkd->mk", diff, diff)
@@ -75,8 +77,10 @@ def reference_score(z, mean_mat, weights, variances):
         - 0.5 * dim * np.log(2.0 * np.pi * variances)[None, :]
         - ssq / (2.0 * variances)[None, :]
     )
-    log_resp -= log_resp.max(axis=1, keepdims=True)
-    resp = np.exp(log_resp)
+    peak = log_resp.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where every ssq overflowed
+        resp = np.exp(log_resp - peak)
+    resp = np.where(np.isneginf(peak) & (log_resp == peak), 1.0, resp)
     resp /= resp.sum(axis=1, keepdims=True)
     return -np.einsum("mk,mkd->md", resp / variances[None, :], diff)
 
@@ -398,17 +402,35 @@ class TestBayesLoss:
 
 
 class TestScoreBitExact:
+    """tobytes(), not array_equal: a zero's sign counts."""
+
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), k=st.integers(1, 5),
            d=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_per_component_score_equals_axis_form(self, seed, m, k, d):
         args = random_mixture(seed, m, k, d)
-        assert np.array_equal(_gmm_score_flat(*args), reference_score(*args))
+        assert _gmm_score_flat(*args).tobytes() == reference_score(*args).tobytes()
 
     @pytest.mark.parametrize("k", [7, 8, 9, 17, 130])
     def test_many_components_equal_axis_form(self, k):
         args = random_mixture(k, 25, k, 2)
-        assert np.array_equal(_gmm_score_flat(*args), reference_score(*args))
+        assert _gmm_score_flat(*args).tobytes() == reference_score(*args).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300), k=st.sampled_from([3, 8, 9]))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_chains_with_signed_zeros_means_and_overflow(self, seed, m, k):
+        z, mean_mat, weights, variances = random_mixture(seed, m, k, 1)
+        mean_mat[0, 0] = 0.0
+        gen = np.random.default_rng(seed)
+        special = np.concatenate([[0.0, -0.0, 1e200, -1e200], mean_mat[:, 0]])
+        at = gen.random(m) < 0.5
+        z[at, 0] = gen.choice(special, int(at.sum()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow branch warns about nothing
+            got = _gmm_score_flat(z, mean_mat, weights, variances)
+        with np.errstate(over="ignore"):
+            want = reference_score(z, mean_mat, weights, variances)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGMMEnergy:

@@ -16,8 +16,8 @@ from latentedit.grid import (
     RngStream,
     _NORMAL_BLOCK,
     _POOL_MIN_VALUES,
+    _keyed_uniforms,
     _normal_rows,
-    _philox_uniforms,
     masked_combine,
     mean_stat,
     read_grid,
@@ -130,12 +130,16 @@ class TestRngStream:
     @given(
         keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
         count=st.integers(1, 45),
+        block=st.integers(1, 4),
     )
-    @example(keys=[0, 2**64 - 1], count=7)
+    @example(keys=[0, 2**64 - 1], count=7, block=2)
+    @example(keys=[3, 3, 5], count=6, block=3)  # rows that leave 2 words in the buffer
     @settings(max_examples=60, deadline=None)
-    def test_multi_key_philox_matches_numpy_per_key(self, keys, count):
-        got = _philox_uniforms(np.array(keys, dtype=np.uint64), count)
-        for key, row in zip(keys, got):
+    def test_multi_key_philox_matches_numpy_per_key(self, keys, count, block):
+        blocks = list(_keyed_uniforms(iter(keys), count, block))
+        assert [len(b) for b in blocks] == [min(block, len(keys) - lo)
+                                            for lo in range(0, len(keys), block)]
+        for key, row in zip(keys, np.concatenate(blocks)):
             expected = np.random.Generator(np.random.Philox(key=key)).random(count)
             assert np.array_equal(row, expected)
 

@@ -397,6 +397,7 @@ class TestSample:
         k=st.integers(1, 3),
         method=st.sampled_from(["ddpm_full", "euler_ancestral"]),
     )
+    @example(n=_CHAIN_BLOCK + 3, seed=11, T=3, k=2, method="ddpm_full")
     @settings(max_examples=40, deadline=None)
     def test_chains_equal_per_chain_reference(self, n, seed, T, k, method):
         sched = build_schedule("linear", T, 1e-3, 0.2)
@@ -425,9 +426,11 @@ class TestSample:
 
         monkeypatch.setattr(np.random, "Philox", counting)
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])
-        sample_chains(gmm_chain_denoiser(prior, sched50), 64, sched50, SamplerConfig(),
-                      RngStream(2), prior_init=prior)
-        assert built == []
+        for n in (64, 600):  # one Philox per call, re-keyed per chain
+            built.clear()
+            sample_chains(gmm_chain_denoiser(prior, sched50), n, sched50, SamplerConfig(),
+                          RngStream(2), prior_init=prior)
+            assert len(built) == 1, n
 
     def test_chain_divergence_raises(self, sched50):
         with pytest.raises(DivergenceError, match="non-finite within T=50"):

@@ -126,3 +126,8 @@ class TestFromBetas:
     def test_rejects_beta_that_is_not_a_nonempty_vector(self, beta):
         with pytest.raises(ValueError, match="nonempty 1-d"):
             NoiseSchedule(beta=beta)
+
+    @pytest.mark.parametrize("bad", [-1.0, 1.0, 1.5, np.nan, np.inf])
+    def test_rejects_beta_outside_unit_interval_naming_its_index(self, bad):
+        with pytest.raises(ValueError, match=r"beta\[2\] must be finite and in \[0, 1\)"):
+            NoiseSchedule(beta=np.array([0.1, 0.0, bad, 0.2]))

@@ -60,15 +60,19 @@ def _quantize(arr: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return -cfg.clamp + (idx + 0.5) * cfg.cell
 
 
-def encode(image: LatentGrid, cfg: CodecConfig) -> LatentGrid:
-    """blur -> k x k block average -> clamp -> quantize to lattice midpoints."""
+def _latent_shape(image: LatentGrid, cfg: CodecConfig) -> tuple[int, int, int]:
+    """The (h, w, c) of ``image``'s latent; the block size must divide h and w."""
     k = cfg.downsample
     if image.h % k or image.w % k:
-        raise ValueError(
-            f"image dims {image.h}x{image.w} not divisible by downsample factor {k}"
-        )
-    blurred = _blur(image.data)
-    pooled = blurred.reshape(image.h // k, k, image.w // k, k, image.c).mean(axis=(1, 3))
+        raise ValueError(f"image dims {image.h}x{image.w} not divisible by downsample factor {k}")
+    return image.h // k, image.w // k, image.c
+
+
+def encode(image: LatentGrid, cfg: CodecConfig) -> LatentGrid:
+    """blur -> k x k block average -> clamp -> quantize to lattice midpoints."""
+    h, w, c = _latent_shape(image, cfg)
+    k = cfg.downsample
+    pooled = _blur(image.data).reshape(h, k, w, k, c).mean(axis=(1, 3))
     return LatentGrid(_quantize(pooled, cfg))
 
 

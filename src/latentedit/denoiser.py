@@ -47,10 +47,11 @@ class GMMPrior:
         shape = self.means[0].shape
         if any(m.shape != shape for m in self.means):
             raise ValueError("all component means must share dimensions")
-        w.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scales", s)
+        arrays = {"weights": w, "scales": s, "_cdf": np.cumsum(w),
+                  "_mean_mat": np.stack([m.flat() for m in self.means])}
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "means", tuple(self.means))
 
     @property
@@ -66,8 +67,8 @@ class GMMPrior:
         return self.means[0].size
 
     def mean_matrix(self) -> np.ndarray:
-        """Component means stacked as a (K, dim) matrix."""
-        return np.stack([m.flat() for m in self.means])
+        """Component means stacked as a read-only (K, dim) matrix."""
+        return self._mean_mat
 
     @staticmethod
     def scalar(weights, mus, scales) -> "GMMPrior":
@@ -81,13 +82,12 @@ class GMMPrior:
         if n < 1:
             raise ValueError(f"sample count must be >= 1, got {n}")
         u = rng.uniform((n,))
-        return self._place(u, rng.normal((n, self.dim)), np.cumsum(self.weights), self.mean_matrix())
+        return self._place(u, rng.normal((n, self.dim)))
 
-    def _place(self, u: np.ndarray, g: np.ndarray, cdf: np.ndarray, means: np.ndarray) -> np.ndarray:
-        """mu_k + s_k * g, component k by inverse CDF of the uniforms u; a loop
-        passes ``cumsum(weights)`` and ``mean_matrix()`` in, computed once."""
-        comp = np.minimum(np.searchsorted(cdf, u, side="right"), self.k - 1)
-        return means[comp] + self.scales[comp, None] * g
+    def _place(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """mu_k + s_k * g, component k by inverse CDF of the uniforms u."""
+        comp = np.minimum(np.searchsorted(self._cdf, u, side="right"), self.k - 1)
+        return self._mean_mat[comp] + self.scales[comp, None] * g
 
     def sample(self, rng: RngStream) -> LatentGrid:
         h, w, c = self.shape
@@ -125,18 +125,16 @@ class EditInstruction:
             raise ValueError(f"gain has {self.gain.size} channels, grid has {c}")
         return self.gain
 
+    def _bias_values(self):
+        """The bias as grid data or a float."""
+        return self.bias.data if isinstance(self.bias, LatentGrid) else float(self.bias)
+
     def target_mean(self, z_src: LatentGrid) -> LatentGrid:
         """mu_y = gain * z_src + bias, elementwise with channel broadcast."""
         a = self.gain_for(z_src.c)
-        if isinstance(self.bias, LatentGrid):
-            if self.bias.shape != z_src.shape:
-                raise ValueError(
-                    f"bias grid {self.bias.shape} does not match latent {z_src.shape}"
-                )
-            b = self.bias.data
-        else:
-            b = float(self.bias)
-        return LatentGrid(a[None, None, :] * z_src.data + b)
+        if isinstance(self.bias, LatentGrid) and self.bias.shape != z_src.shape:
+            raise ValueError(f"bias grid {self.bias.shape} does not match latent {z_src.shape}")
+        return LatentGrid(a[None, None, :] * z_src.data + self._bias_values())
 
 
 # an overflow gives inf or NaN, which EditInstruction and LatentGrid reject
@@ -146,9 +144,9 @@ def compose_edits(edits, like: LatentGrid) -> EditInstruction:
 
     Applying edit 1 then edit 2 to the same latent is the affine map with
     gain a2*a1 and bias a2*b1 + b2; target spreads propagate through the
-    chain as s^2 = mean_c(a2^2) * s1^2 + s2^2.  ``like`` supplies the grid
-    shape when a bias must be materialized.  A single-edit chain is returned
-    unchanged, so it is interchangeable with the original edit.
+    chain as s^2 = mean_c(a2^2) * s1^2 + s2^2.  The bias is a float if both
+    biases are and a2 is a scalar, else a grid of ``like``'s shape.  A chain
+    of one edit is returned unchanged, so it is interchangeable with it.
     """
     edits = list(edits)
     if not edits:
@@ -159,19 +157,9 @@ def compose_edits(edits, like: LatentGrid) -> EditInstruction:
     for nxt in edits[1:]:
         a1 = composed.gain_for(like.c)
         a2 = nxt.gain_for(like.c)
-        scalar_case = (
-            not isinstance(composed.bias, LatentGrid)
-            and not isinstance(nxt.bias, LatentGrid)
-            and nxt.gain.size == 1
-        )
-        if scalar_case:
-            bias = float(nxt.gain[0]) * float(composed.bias) + float(nxt.bias)
-        else:
-            b1 = composed.bias if isinstance(composed.bias, LatentGrid) else None
-            b2 = nxt.bias if isinstance(nxt.bias, LatentGrid) else None
-            b1d = b1.data if b1 is not None else np.full(like.shape, float(composed.bias))
-            b2d = b2.data if b2 is not None else np.full(like.shape, float(nxt.bias))
-            bias = LatentGrid(a2[None, None, :] * b1d + b2d)
+        a = nxt.gain[0] if nxt.gain.size == 1 else a2[None, None, :]
+        bias = a * composed._bias_values() + nxt._bias_values()
+        bias = float(bias) if np.ndim(bias) == 0 else LatentGrid(np.broadcast_to(bias, like.shape))
         scale = float(
             np.sqrt(np.mean(a2**2) * composed.target_scale**2 + nxt.target_scale**2)
         )
@@ -338,10 +326,9 @@ def _diffusion_batches(prior: GMMPrior, sched: NoiseSchedule, n: int, rng: RngSt
         raise ValueError(f"sample count must be >= 1, got {n}")
     nd = n * prior.dim
     half = 2 * ((nd + 1) // 2)
-    cdf, means = np.cumsum(prior.weights), prior.mean_matrix()
     for u in _uniform_rows(rng, 2 * (n + half), count):
         g = _box_muller(u[:, n : n + half], nd).reshape(-1, n, prior.dim)
-        z0 = prior._place(u[:, :n], g, cdf, means)
+        z0 = prior._place(u[:, :n], g)
         t = np.minimum((u[:, n + half : 2 * n + half] * sched.T).astype(np.int64) + 1, sched.T)
         eps = _box_muller(u[:, 2 * n + half :], nd).reshape(-1, n, prior.dim)
         yield from zip(z0, t, eps)

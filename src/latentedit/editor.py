@@ -24,8 +24,8 @@ from . import codec as codec_mod
 from . import sampler as sampler_mod
 from .codec import CodecConfig
 from .denoiser import EditInstruction, compose_edits, edit_denoiser
-from .grid import LatentGrid, Mask, RngStream, mean_stat
-from .sampler import SamplerConfig
+from .grid import LatentGrid, Mask, RngStream, _NonFiniteGrid, mean_stat
+from .sampler import DivergenceError, SamplerConfig
 from .schedule import NoiseSchedule
 
 STRATEGIES = ("latent_iteration", "image_iteration", "concat_instructions", "blur_baseline")
@@ -83,24 +83,17 @@ def open_session(
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     edits = list(edits)
-    k = codec_cfg.downsample
-    if image.h % k or image.w % k:
-        raise ValueError(
-            f"image dims {image.h}x{image.w} not divisible by codec factor {k}"
-        )
-    lat_h, lat_w = image.h // k, image.w // k
+    shape = codec_mod._latent_shape(image, codec_cfg)
     for i, edit in enumerate(edits):
         if edit.gain.size not in (1, image.c):
             raise ValueError(f"edit {i} gain has {edit.gain.size} channels, latent has {image.c}")
-        if isinstance(edit.bias, LatentGrid) and edit.bias.shape != (lat_h, lat_w, image.c):
-            raise ValueError(
-                f"edit {i} bias grid is {edit.bias.shape}, latent is {(lat_h, lat_w, image.c)}"
-            )
+        if isinstance(edit.bias, LatentGrid) and edit.bias.shape != shape:
+            raise ValueError(f"edit {i} bias grid is {edit.bias.shape}, latent is {shape}")
     if strategy == "concat_instructions" and edits:
         # composing the whole chain builds every prefix the session composes
         # later, so a chain whose spread, gain or bias overflows fails here
         try:
-            compose_edits(edits, like=LatentGrid.constant(0.0, lat_h, lat_w, image.c))
+            compose_edits(edits, like=LatentGrid.constant(0.0, *shape))
         except ValueError as exc:
             raise ValueError(f"the concat_instructions chain does not compose: {exc}") from None
     if masks is not None:
@@ -108,10 +101,8 @@ def open_session(
         if len(masks) != len(edits):
             raise ValueError(f"got {len(masks)} masks for {len(edits)} edits")
         for i, m in enumerate(masks):
-            if m is not None and (m.h, m.w) != (lat_h, lat_w):
-                raise ValueError(
-                    f"mask {i} is {m.h}x{m.w}, latent space is {lat_h}x{lat_w}"
-                )
+            if m is not None and (m.h, m.w) != shape[:2]:
+                raise ValueError(f"mask {i} is {m.h}x{m.w}, latent space is {shape[0]}x{shape[1]}")
     return EditSession(
         original=image,
         edits=edits,
@@ -179,11 +170,10 @@ def apply_edit(session: EditSession) -> LatentGrid:
 def _lockstep_fields(session: EditSession) -> dict:
     """What sessions must share to draw the same noise for the same latent
     shape in their next edit."""
-    k = session.codec_cfg.downsample
     return {
         "seed": session.seed,
         "e": session.e,
-        "latent shape": (session.original.h // k, session.original.w // k, session.original.c),
+        "latent shape": codec_mod._latent_shape(session.original, session.codec_cfg),
         "sched": session.sched,
         "sampler_cfg": session.sampler_cfg,
         "mask": session.masks[session.e] if session.masks is not None else None,
@@ -191,6 +181,8 @@ def _lockstep_fields(session: EditSession) -> dict:
     }
 
 
+# overflow on the way to a non-finite grid is reported by DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_edits(sessions) -> list[LatentGrid]:
     """``apply_edit`` for several sessions at once, stepped in lockstep.
 
@@ -199,7 +191,9 @@ def _apply_edits(sessions) -> list[LatentGrid]:
     draw the same noise for this edit, so one reverse loop over a leading
     member axis draws it once for all of them.  Each session ends in the
     state, and returns the image, that its own ``apply_edit`` would give,
-    bit for bit.  A session whose sampled latent diverges fails them all.
+    bit for bit.  A session whose sampled latent diverges fails them all,
+    as does one whose target mean, renormalized latent or decoded image
+    overflows; that DivergenceError names the edit.
     """
     for session in sessions:
         if session.done:
@@ -215,45 +209,51 @@ def _apply_edits(sessions) -> list[LatentGrid]:
             if not (value is want if name in ("sched", "mask") else value == want):
                 raise ValueError(f"sessions cannot step in lockstep: their {name} differs")
     first, shape, mask = sessions[0], shared["latent shape"], shared["mask"]
-    z_imgs, edits, factors = zip(*(_conditioning_latent(s) for s in sessions))
+    e = first.e
+    try:
+        z_imgs, edits, factors = zip(*(_conditioning_latent(s) for s in sessions))
 
-    z_init = None
-    if first.reuse_init:
-        for session in sessions:
-            if session.z_init is None:
-                session.z_init = LatentGrid(RngStream(session.seed).spawn("init").normal(shape))
-        z_init = np.stack([s.z_init.data for s in sessions])
+        z_init = None
+        if first.reuse_init:
+            for session in sessions:
+                if session.z_init is None:
+                    session.z_init = LatentGrid(
+                        RngStream(session.seed).spawn("init").normal(shape))
+            z_init = np.stack([s.z_init.data for s in sessions])
 
-    recon = None
-    if mask is not None and first.sampler_cfg.mask_mode == "direction":
-        recon_edits = [
-            EditInstruction(id="recon", gain=1.0, bias=0.0, target_scale=edit.target_scale)
-            for edit in edits
-        ]
-        recon = edit_denoiser(recon_edits, z_imgs, first.sched)
+        recon = None
+        if mask is not None and first.sampler_cfg.mask_mode == "direction":
+            recon_edits = [
+                EditInstruction(id="recon", gain=1.0, bias=0.0, target_scale=edit.target_scale)
+                for edit in edits
+            ]
+            recon = edit_denoiser(recon_edits, z_imgs, first.sched)
 
-    z0 = sampler_mod._sample(
-        edit_denoiser(edits, z_imgs, first.sched),
-        shape,
-        first.sched,
-        first.sampler_cfg,
-        RngStream(first.seed).spawn("edit", first.e),
-        md=mask.data[:, :, None] if mask is not None else None,
-        src=np.stack([z.data for z in z_imgs]) if mask is not None else None,
-        recon=recon,
-        z_init=z_init,
-        members=(len(sessions),),
-    )
-    outs = []
-    for session, z, f in zip(sessions, z0, factors):
-        latent = LatentGrid(z)
-        out = codec_mod.decode(latent, session.codec_cfg)
-        session.outputs.append(out)
-        session.prev_latent = latent
-        session.f_history.append(f)
-        session.e += 1
-        outs.append(out)
-    return outs
+        z0 = sampler_mod._sample(
+            edit_denoiser(edits, z_imgs, first.sched),
+            shape,
+            first.sched,
+            first.sampler_cfg,
+            RngStream(first.seed).spawn("edit", first.e),
+            md=mask.data[:, :, None] if mask is not None else None,
+            src=np.stack([z.data for z in z_imgs]) if mask is not None else None,
+            recon=recon,
+            z_init=z_init,
+            members=(len(sessions),),
+        )
+        outs = []
+        for session, z, f in zip(sessions, z0, factors):
+            latent = LatentGrid(z)
+            out = codec_mod.decode(latent, session.codec_cfg)
+            session.outputs.append(out)
+            session.prev_latent = latent
+            session.f_history.append(f)
+            session.e += 1
+            outs.append(out)
+        return outs
+    except _NonFiniteGrid:
+        raise DivergenceError(f"edit {e + 1} ({first.edits[e].id}) overflows: "
+                              "its target mean, latent or image is not finite") from None
 
 
 def run_all(session: EditSession) -> list[LatentGrid]:

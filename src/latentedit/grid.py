@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +29,10 @@ _MASK64 = (1 << 64) - 1
 
 class GridParseError(ValueError):
     """A grid/mask file does not follow the documented format."""
+
+
+class _NonFiniteGrid(ValueError):
+    """A grid would hold a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class LatentGrid:
         if arr.size == 0:
             raise ValueError(f"grid dimensions must be positive, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise ValueError("grid contains non-finite values")
+            raise _NonFiniteGrid("grid contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -343,24 +348,27 @@ def _parse_header(tokens, path: str, magic: str, n_dims: int) -> tuple[int, ...]
 
 
 def _parse_values(tokens, path: str, count: int) -> np.ndarray:
-    """Parse the next ``count`` tokens as finite floats."""
-    values = np.empty(count)
-    got = 0
-    last_line = 1
-    for lineno, tok in itertools.islice(tokens, count):
-        last_line = lineno
-        try:
-            value = float(tok)
-        except ValueError:
-            raise GridParseError(
-                f"{path}: line {lineno}: value {got + 1}: bad float {tok!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise GridParseError(f"{path}: line {lineno}: value {got + 1}: non-finite {tok!r}")
-        values[got] = value
-        got += 1
-    if got != count:
-        raise GridParseError(f"{path}: line {last_line}: expected {count} values, got {got}")
+    """Parse the next ``count`` tokens as finite floats, into an array sized
+    by the values read, not by the header's claim."""
+    lineno = 1  # then the line of the last value read
+
+    def floats():
+        nonlocal lineno
+        # islice stops at sys.maxsize at most; no file holds that many tokens
+        for i, (lineno, tok) in enumerate(itertools.islice(tokens, min(count, sys.maxsize)), 1):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise GridParseError(
+                    f"{path}: line {lineno}: value {i}: bad float {tok!r}") from None
+            if not math.isfinite(value):
+                raise GridParseError(f"{path}: line {lineno}: value {i}: non-finite {tok!r}")
+            yield value
+
+    values = np.fromiter(floats(), dtype=np.float64)
+    if values.size != count:
+        raise GridParseError(
+            f"{path}: line {lineno}: expected {count} values, got {values.size}")
     return values
 
 

@@ -336,8 +336,7 @@ def sample_chains(
         comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
         noise[:, lo:hi] = _box_muller(u[:, 1:], draws).T
     abar_T = float(sched.alpha_bar[-1])
-    cdf, means = np.cumsum(prior_init.weights), prior_init.mean_matrix()
-    z0 = prior_init._place(comp_u, noise[0][:, None], cdf, means)[:, 0]
+    z0 = prior_init._place(comp_u, noise[0][:, None])[:, 0]
     z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[1]
     return _reverse(chain_denoiser, z, iter(noise[2:]), sched, cfg)
 

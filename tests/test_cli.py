@@ -141,6 +141,27 @@ class TestRunSession:
         assert err == "run-session: sampled latent became non-finite within T=20 reverse steps\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, change, edit", [
+        ("run-session", {"session": {"input": "input.grid",
+                                     "edits": [{"id": "big", "gain": 1e308, "bias": 1e308}]}},
+         "edit 1 (big)"),
+        ("run-session", {"session": {"input": "input.grid",
+                                     "edits": [{"id": "g1", "gain": 1e200},
+                                               {"id": "g2", "gain": 1e200}]}},
+         "edit 2 (g2)"),
+        ("bench-locality", {"bench": {"locality": {"edit": {"id": "big", "gain": 1e308,
+                                                            "bias": 1e308}}}},
+         "edit 1 (big)"),
+    ], ids=["target-overflows", "second-target-overflows", "locality-target-overflows"])
+    def test_edit_that_overflows_exits_1_with_one_line(self, workspace, capsys, command, change,
+                                                       edit):
+        config = write_config(workspace, {"seed": 0, "out_dir": "out", "schedule": {"T": 20},
+                                          **change})
+        assert main([command, config, "--out", str(workspace / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"{command}: {edit} overflows: "
+                       "its target mean, latent or image is not finite\n")
+
 
 class TestBenchCommands:
     def test_drift_csv_and_exit_zero(self, workspace):
@@ -449,6 +470,9 @@ class TestConfigValidation:
         ("bench-drift", {"bench": {"drift": {"strategies": ["concat_instructions"], "steps": 3,
                                              "edit_noise": 1e154}}},
          r"^config error: config\.bench\.drift: .*finite square, got inf\n$"),
+        ("run-session", {"session": {"input": "huge.grid"}},
+         r"^config error: config\.session\.input: .*huge\.grid: line 1: "
+         r"expected 1000000000000000 values, got 0\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -456,9 +480,10 @@ class TestConfigValidation:
             "negative-edit-noise", "ebm-zero-scale", "clamp-overflows-cell",
             "edit-scale-square-overflows", "edit-noise-square-overflows",
             "locality-scale-square-overflows", "concat-scale-overflows",
-            "drift-concat-scale-overflows"])
+            "drift-concat-scale-overflows", "oversized-grid-header"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
+        (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")
         write_grid(LatentGrid(np.zeros((3, 3, 1))), str(workspace / "small.grid"))
         write_mask(Mask.ones(2, 2), str(workspace / "small.mask"))
         cfg = base_config()

@@ -1,5 +1,7 @@
 """Closed-form noise predictors against independent numerical oracles."""
 
+import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -200,6 +202,15 @@ class TestPrior:
         with pytest.raises(ValueError, match="share dimensions"):
             GMMPrior(np.array([0.5, 0.5]), means, np.array([1.0, 1.0]))
 
+    def test_mean_matrix_is_read_only_stack_of_means(self):
+        means = tuple(LatentGrid(RngStream(k).normal((2, 3, 2))) for k in range(3))
+        prior = GMMPrior(np.array([0.2, 0.3, 0.5]), means, np.array([0.5, 1.0, 1.5]))
+        mat = prior.mean_matrix()
+        assert not mat.flags.writeable
+        assert np.array_equal(mat, np.stack([m.flat() for m in means]))
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 1.0
+
     def test_sample_moments(self):
         prior = scalar_prior([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])
         flat = prior.sample_flat(RngStream(5), 40000)[:, 0]
@@ -370,6 +381,46 @@ class TestComposeEdits:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             compose_edits([], LatentGrid.constant(0.0, 1, 1, 1))
+
+    def test_bits_match_digest(self):
+        # Recorded before the constant-bias and grid-bias paths were merged
+        # into one broadcast.  The inputs come from Philox uniforms and the
+        # composition is IEEE + * sqrt with means over at most 3 values, so
+        # the digest needs no platform key.
+        assert compose_digest() == (
+            "215f49a5db7dc7f9160974aeafb31411d93f11f8d47479332212563908b234c4"
+        )
+
+
+def compose_digest() -> str:
+    """sha256 over every composed gain, bias and target_scale, as tobytes(),
+    for c in {1, 3}, chains of 2-3 edits and every mix of scalar or
+    per-channel gain and constant or grid bias along the chain."""
+    digest = hashlib.sha256()
+    for c, n in itertools.product((1, 3), (2, 3)):
+        like = LatentGrid.constant(0.0, 2, 3, c)
+        for kinds in itertools.product(itertools.product((False, True), repeat=2), repeat=n):
+            rng = RngStream(c * 100 + n).spawn(str(kinds))
+            edits = [
+                EditInstruction(
+                    id=str(i),
+                    gain=4.0 * rng.uniform((c,) if per_channel else ()) - 2.0,
+                    bias=(LatentGrid(6.0 * rng.uniform(like.shape) - 3.0) if grid_bias
+                          else float(6.0 * rng.uniform(()) - 3.0)),
+                    target_scale=float(rng.uniform(())),
+                )
+                for i, (per_channel, grid_bias) in enumerate(kinds)
+            ]
+            composed = compose_edits(edits, like)
+            bias = composed.bias
+            # a float only while every bias is and no later gain varies by channel
+            assert isinstance(bias, LatentGrid) == (
+                any(g for _, g in kinds) or (c > 1 and any(p for p, _ in kinds[1:])))
+            digest.update(composed.gain.tobytes())
+            digest.update(bias.data.tobytes() if isinstance(bias, LatentGrid)
+                          else np.float64(bias).tobytes())
+            digest.update(np.float64(composed.target_scale).tobytes())
+    return digest.hexdigest()
 
 
 class TestBayesLoss:

@@ -26,6 +26,7 @@ from latentedit.grid import (
     write_grid,
     write_mask,
 )
+from latentedit.training import load_model
 
 
 class TestLatentGrid:
@@ -255,6 +256,23 @@ class TestGridIO:
             fh.write("GIRD 1 1 1\n0.0\n")
         with pytest.raises(GridParseError, match="expected 'GRID'"):
             read_grid(path)
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_grid, "GRID 100000 100000 100000\n", "line 1: expected 1000000000000000 values, got 0"),
+        (read_mask, "MASK 1000000000 1000000000\n0 1\n",
+         "line 2: expected 1000000000000000000 values, got 2"),
+        (read_grid, "GRID 99999999999999999999 1 1\n0.5\n",
+         "line 2: expected 99999999999999999999 values, got 1"),
+        (load_model, "PARAM W1\nGRID 100000 100000 1\n0.5\n",
+         "line 3: expected 10000000000 values, got 1"),
+    ], ids=["grid", "mask", "beyond-maxsize", "model"])
+    def test_oversized_header_reports_the_count(self, tmp_path, reader, text, message):
+        # not a MemoryError, islice's ValueError or numpy's dimension limit
+        path = tmp_path / "big.grid"
+        path.write_text(text)
+        with pytest.raises(GridParseError) as got:
+            reader(str(path))
+        assert str(got.value) == f"{path}: {message}"
 
     def test_mask_roundtrip(self, tmp_path):
         m = Mask(np.array([[1.0, 0.0], [0.0, 1.0]]))

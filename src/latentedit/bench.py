@@ -118,16 +118,18 @@ def _format_cell(value) -> str:
 
 def write_report(report: Report, path: str, fmt: str = "csv") -> None:
     """Write a report as CSV (documented header, one line per row) or as a
-    JSON array of row objects.  Field order is the schema order."""
+    JSON array of row objects.  Field order is the schema order.  Floats are
+    written with ``repr``; in JSON a non-finite float is null."""
     if fmt == "csv":
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(",".join(report.columns) + "\n")
             for row in report.rows:
                 fh.write(",".join(_format_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        payload = [dict(zip(report.columns, row)) for row in report.rows]
+        payload = [{k: None if isinstance(v, float) and not np.isfinite(v) else v
+                    for k, v in zip(report.columns, row)} for row in report.rows]
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

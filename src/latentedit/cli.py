@@ -121,7 +121,8 @@ _FIELDS = {
     "bench.fixture": (str, "shipped", lambda v, base_dir: v != "shipped" and _file(v, base_dir)),
     "bench.drift": (dict, {}, None),
     "bench.drift.steps": (int, 16, _at_least(2)),
-    "bench.drift.edit_noise": (float, None, lambda v, d: _at_least(0)(v, d) or _edit_scale(v, d)),
+    "bench.drift.edit_noise": (float, bench_mod.DEFAULT_EDIT_NOISE,
+                               lambda v, d: _at_least(0)(v, d) or _edit_scale(v, d)),
     "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _nonempty),
     "bench.drift.strategies[]": (str, _REQUIRED, _one_of(editor_mod.STRATEGIES, "strategy")),
     "bench.locality": (dict, {}, None),
@@ -296,16 +297,13 @@ def _publish(report, out: str, name: str, args) -> int:
     return 0 if all(ok for _, ok, _ in claims) else 1
 
 
-# a latent past 1e154 has an inf std; an edit that overflows exits 1 with DivergenceError
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_run_session(cfg: dict, args, base_dir: str) -> int:
     block = _needed(cfg, "session", "needed by run-session")
     image = _at("config.session.input", read_grid, os.path.join(base_dir, block["input"]))
     edits, masks = zip(*(_edit(e, f"config.session.edits[{i}]", base_dir)
                          for i, e in enumerate(block["edits"])))
     session = _at(
-        "config.session", editor_mod.open_session, image, edits,
-        masks if any(m is not None for m in masks) else None, **_core(cfg),
+        "config.session", editor_mod.open_session, image, edits, masks, **_core(cfg),
         seed=cfg["seed"], **_pick(block, "strategy", "reuse_init"),
     )
     out = _out_dir(cfg)
@@ -330,7 +328,7 @@ def cmd_run_session(cfg: dict, args, base_dir: str) -> int:
         log_edits.append(entry)
     with open(os.path.join(out, "session_log.json"), "w", encoding="ascii", newline="\n") as fh:
         json.dump({"strategy": session.strategy, "seed": cfg["seed"], "num_edits": len(edits),
-                   "edits": log_edits}, fh, indent=2, sort_keys=True)
+                   "edits": log_edits}, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"wrote {len(edits)} edited grids and session_log.json to {out}")
     return 0
@@ -341,14 +339,14 @@ def cmd_bench_drift(cfg: dict, args, base_dir: str) -> int:
     core = _core(cfg)
     fixture = _bench_fixture(cfg, base_dir, core)
     # open_session composes a concat_instructions chain, so one that overflows fails here
-    edits = [bench_mod.identity_edit(drift.get("edit_noise", bench_mod.DEFAULT_EDIT_NOISE))]
+    edits = [bench_mod.identity_edit(drift["edit_noise"])]
     for strategy in drift["strategies"]:
         _at("config.bench.drift", editor_mod.open_session, fixture, edits * drift["steps"],
             strategy=strategy, **core)
     out = _out_dir(cfg)
     report = bench_mod.drift_experiment(
         fixture, drift["strategies"], drift["steps"], **core, seed=cfg["seed"],
-        **_pick(drift, "edit_noise"),
+        edit_noise=drift["edit_noise"],
     )
     return _publish(report, out, "drift", args)
 
@@ -387,6 +385,10 @@ def cmd_bench_ebm(cfg: dict, args, base_dir: str) -> int:
     return _publish(report, out, "ebm", args)
 
 
+class _LossTrace(bench_mod.Report):
+    columns = ("step", "loss")
+
+
 def cmd_train(cfg: dict, args, base_dir: str) -> int:
     block = _needed(cfg, "training", "needed by train")
     sched = _schedule(cfg)
@@ -406,10 +408,7 @@ def cmd_train(cfg: dict, args, base_dir: str) -> int:
     model_path = os.path.join(out, "model.params")
     training_mod.save_model(trained, model_path)
     trace_path = os.path.join(out, "loss_trace.csv")
-    with open(trace_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("step,loss\n")
-        for i, value in enumerate(trace, start=1):
-            fh.write(f"{i},{float(value)!r}\n")
+    bench_mod.write_report(_LossTrace(enumerate(trace.tolist(), start=1)), trace_path)
     final = float(trace[-1]) if len(trace) else float("nan")
     print(f"wrote {model_path} and {trace_path} (final loss {final:.6f})")
     return 0
@@ -418,7 +417,8 @@ def cmd_train(cfg: dict, args, base_dir: str) -> int:
 def cmd_verify(args) -> int:
     results = verify_mod.run_checks()
     if args.json:
-        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2, sort_keys=True))
+        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2, sort_keys=True,
+                         allow_nan=False))
     else:
         width = max(len(r.name) for r in results)
         for r in results:

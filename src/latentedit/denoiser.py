@@ -106,15 +106,16 @@ class EditInstruction:
     target_scale: float = 0.0
 
     def __post_init__(self) -> None:
+        # the gain first: an overflowing gain product also spoils a composed spread
+        gain = np.atleast_1d(np.asarray(self.gain, dtype=np.float64))
+        if gain.ndim != 1 or not np.isfinite(gain).all():
+            raise ValueError("gain must be a finite scalar or per-channel vector")
         s = float(self.target_scale)
         if not (s >= 0 and math.isfinite(s * s)):  # the denoiser squares it
             raise ValueError(f"target_scale must be >= 0 with a finite square, got {s!r}")
         if not isinstance(self.bias, LatentGrid):
             if not np.isfinite(float(self.bias)):
                 raise ValueError("bias must be finite")
-        gain = np.atleast_1d(np.asarray(self.gain, dtype=np.float64))
-        if gain.ndim != 1 or not np.isfinite(gain).all():
-            raise ValueError("gain must be a finite scalar or per-channel vector")
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
 
@@ -169,11 +170,6 @@ def compose_edits(edits, like: LatentGrid) -> EditInstruction:
     return composed
 
 
-def _check_t(t: int, sched: NoiseSchedule) -> None:
-    if not 1 <= t <= sched.T:
-        raise ValueError(f"timestep {t} out of range [1, {sched.T}]")
-
-
 def _gmm_score_flat(
     z: np.ndarray,
     mean_mat: np.ndarray,
@@ -225,8 +221,7 @@ def gmm_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.
     """
     if z.ndim != 2 or z.shape[1] != prior.dim:
         raise ValueError(f"points {z.shape} do not match prior dim {prior.dim}")
-    _check_t(t, sched)
-    abar = sched.alpha_bar[t - 1]
+    abar = sched.alpha_bar[sched._index(t)]
     variances = abar * prior.scales**2 + (1.0 - abar)
     score = _gmm_score_flat(z, np.sqrt(abar) * prior.mean_matrix(), prior.weights, variances)
     return -np.sqrt(1.0 - abar) * score
@@ -287,8 +282,7 @@ def _target_eps(
     of mu (a single grid is one member)."""
     if z_t.shape != mu.shape:
         raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
-    _check_t(t, sched)
-    abar = sched.alpha_bar[t - 1]
+    abar = sched.alpha_bar[sched._index(t)]
     denom = np.array([abar * s**2 + (1.0 - abar) for s in target_scales])
     denom = denom.reshape(-1, *(1,) * (mu.ndim - 1))
     return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / denom

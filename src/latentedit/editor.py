@@ -46,7 +46,7 @@ class EditSession:
 
     original: LatentGrid
     edits: list[EditInstruction]
-    masks: list[Mask | None] | None
+    masks: list[Mask | None]
     strategy: str
     sched: NoiseSchedule
     sampler_cfg: SamplerConfig
@@ -57,7 +57,6 @@ class EditSession:
     prev_latent: LatentGrid | None = None
     outputs: list[LatentGrid] = field(default_factory=list)
     f_history: list[float] = field(default_factory=list)
-    z_init: LatentGrid | None = None
     original_latent: LatentGrid | None = None
     encode_calls: int = 0
     renorm_roundtrips: int = 0
@@ -79,7 +78,8 @@ def open_session(
     seed: int = 0,
     reuse_init: bool = False,
 ) -> EditSession:
-    """Validate inputs and return a session at e = 0 with no outputs."""
+    """Validate inputs and return a session at e = 0 with no outputs; no
+    ``masks`` is a list of one None per edit."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     edits = list(edits)
@@ -96,13 +96,12 @@ def open_session(
             compose_edits(edits, like=LatentGrid.constant(0.0, *shape))
         except ValueError as exc:
             raise ValueError(f"the concat_instructions chain does not compose: {exc}") from None
-    if masks is not None:
-        masks = list(masks)
-        if len(masks) != len(edits):
-            raise ValueError(f"got {len(masks)} masks for {len(edits)} edits")
-        for i, m in enumerate(masks):
-            if m is not None and (m.h, m.w) != shape[:2]:
-                raise ValueError(f"mask {i} is {m.h}x{m.w}, latent space is {shape[0]}x{shape[1]}")
+    masks = [None] * len(edits) if masks is None else list(masks)
+    if len(masks) != len(edits):
+        raise ValueError(f"got {len(masks)} masks for {len(edits)} edits")
+    for i, m in enumerate(masks):
+        if m is not None and (m.h, m.w) != shape[:2]:
+            raise ValueError(f"mask {i} is {m.h}x{m.w}, latent space is {shape[0]}x{shape[1]}")
     return EditSession(
         original=image,
         edits=edits,
@@ -176,7 +175,7 @@ def _lockstep_fields(session: EditSession) -> dict:
         "latent shape": codec_mod._latent_shape(session.original, session.codec_cfg),
         "sched": session.sched,
         "sampler_cfg": session.sampler_cfg,
-        "mask": session.masks[session.e] if session.masks is not None else None,
+        "mask": session.masks[session.e],
         "reuse_init": session.reuse_init,
     }
 
@@ -193,7 +192,8 @@ def _apply_edits(sessions) -> list[LatentGrid]:
     state, and returns the image, that its own ``apply_edit`` would give,
     bit for bit.  A session whose sampled latent diverges fails them all,
     as does one whose target mean, renormalized latent or decoded image
-    overflows; that DivergenceError names the edit.
+    overflows, or whose output latent's mean or spread does; that
+    DivergenceError names the edit, and no session advances.
     """
     for session in sessions:
         if session.done:
@@ -213,13 +213,8 @@ def _apply_edits(sessions) -> list[LatentGrid]:
     try:
         z_imgs, edits, factors = zip(*(_conditioning_latent(s) for s in sessions))
 
-        z_init = None
-        if first.reuse_init:
-            for session in sessions:
-                if session.z_init is None:
-                    session.z_init = LatentGrid(
-                        RngStream(session.seed).spawn("init").normal(shape))
-            z_init = np.stack([s.z_init.data for s in sessions])
+        # members share their seed, so one draw serves them all
+        z_init = RngStream(first.seed).spawn("init").normal(shape) if first.reuse_init else None
 
         recon = None
         if mask is not None and first.sampler_cfg.mask_mode == "direction":
@@ -241,15 +236,16 @@ def _apply_edits(sessions) -> list[LatentGrid]:
             z_init=z_init,
             members=(len(sessions),),
         )
-        outs = []
-        for session, z, f in zip(sessions, z0, factors):
-            latent = LatentGrid(z)
-            out = codec_mod.decode(latent, session.codec_cfg)
+        latents = [LatentGrid(z) for z in z0]
+        # a finite spread implies a finite mean, which renormalize_latent divides by
+        if not all(np.isfinite(latent.data.std()) for latent in latents):
+            raise _NonFiniteGrid("an output latent's mean or spread overflows")
+        outs = [codec_mod.decode(latent, s.codec_cfg) for s, latent in zip(sessions, latents)]
+        for session, latent, out, f in zip(sessions, latents, outs, factors):
             session.outputs.append(out)
             session.prev_latent = latent
             session.f_history.append(f)
             session.e += 1
-            outs.append(out)
         return outs
     except _NonFiniteGrid:
         raise DivergenceError(f"edit {e + 1} ({first.edits[e].id}) overflows: "

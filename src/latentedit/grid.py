@@ -4,7 +4,9 @@ Grid file format (text, bit-exact):
   line 1:   ``GRID h w c``  (ASCII, space-separated positive integers)
   then:     exactly h*w*c whitespace-separated finite decimal floats, row-major
             (h outer, then w, then c).
-Masks use ``MASK h w`` followed by h*w values, each exactly 0 or 1.
+Masks use ``MASK h w`` followed by h*w values, each exactly 0 or 1.  A
+model file is a sequence of ``PARAM <name>`` lines, each followed by one
+GRID block; all three share one block reader and writer.
 
 Floats are written with ``repr`` (shortest digits that round-trip float64,
 up to 17 significant digits), so write->read is lossless.
@@ -324,33 +326,31 @@ def _read_tokens(path: str):
         raise GridParseError(f"{path}: not an ASCII grid file ({exc})") from None
 
 
-def _parse_header(tokens, path: str, magic: str, n_dims: int) -> tuple[int, ...]:
-    fields = []
+def _read_block(tokens, path: str, magic: str, n_dims: int) -> np.ndarray:
+    """Parse a ``magic`` header of ``n_dims`` positive integers, then as many
+    finite floats as they multiply to, shaped by the header.  The array is
+    sized by the values read, not by the header's claim, and a line number
+    in a message counts from the header's line."""
     try:
         lineno, word = next(tokens)
     except StopIteration:
         raise GridParseError(f"{path}: line 1: empty file, expected '{magic}' header") from None
     if word != magic:
         raise GridParseError(f"{path}: line {lineno}: expected '{magic}' header, got {word!r}")
+    dims = []
     for _ in range(n_dims):
         try:
             lineno, tok = next(tokens)
-            fields.append(int(tok))
+            dims.append(int(tok))
         except StopIteration:
             raise GridParseError(f"{path}: line {lineno}: truncated {magic} header") from None
         except ValueError:
             raise GridParseError(
                 f"{path}: line {lineno}: bad {magic} dimension {tok!r}"
             ) from None
-    if any(d < 1 for d in fields):
-        raise GridParseError(f"{path}: line {lineno}: dimensions must be positive, got {fields}")
-    return tuple(fields)
-
-
-def _parse_values(tokens, path: str, count: int) -> np.ndarray:
-    """Parse the next ``count`` tokens as finite floats, into an array sized
-    by the values read, not by the header's claim."""
-    lineno = 1  # then the line of the last value read
+    if any(d < 1 for d in dims):
+        raise GridParseError(f"{path}: line {lineno}: dimensions must be positive, got {dims}")
+    count = math.prod(dims)
 
     def floats():
         nonlocal lineno
@@ -367,53 +367,46 @@ def _parse_values(tokens, path: str, count: int) -> np.ndarray:
 
     values = np.fromiter(floats(), dtype=np.float64)
     if values.size != count:
-        raise GridParseError(
-            f"{path}: line {lineno}: expected {count} values, got {values.size}")
+        raise GridParseError(f"{path}: line {lineno}: expected {count} values, got {values.size}")
+    return values.reshape(dims)
+
+
+def _read_file(path: str, magic: str, n_dims: int) -> np.ndarray:
+    """A file that holds one block and nothing after it."""
+    tokens = _read_tokens(path)
+    values = _read_block(tokens, path, magic, n_dims)
+    extra = next(tokens, None)
+    if extra is not None:
+        raise GridParseError(f"{path}: line {extra[0]}: expected {values.size} values, found more")
     return values
 
 
-def _expect_end(tokens, path: str, count: int) -> None:
-    extra = next(tokens, None)
-    if extra is not None:
-        raise GridParseError(f"{path}: line {extra[0]}: expected {count} values, found more")
-
-
-def read_grid(path: str) -> LatentGrid:
-    """Parse a GRID file; raises GridParseError with line/position context."""
-    tokens = _read_tokens(path)
-    h, w, c = _parse_header(tokens, path, "GRID", 3)
-    values = _parse_values(tokens, path, h * w * c)
-    _expect_end(tokens, path, h * w * c)
-    return LatentGrid(values.reshape(h, w, c))
-
-
-def write_grid(g: LatentGrid, path: str) -> None:
-    """Write a GRID file, one image row per line, lossless float formatting."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"GRID {g.h} {g.w} {g.c}\n")
-        _write_rows(fh, g.data.reshape(g.h, g.w * g.c))
-
-
-def _write_rows(fh, rows: np.ndarray) -> None:
-    """The value lines of a GRID block: one line per row of a 2-d array."""
+def _write_block(fh, header: str, rows: np.ndarray) -> None:
+    """A block: the header line, then one line of ``repr`` values per row of a 2-d array."""
+    fh.write(header + "\n")
     for row in rows:
         fh.write(" ".join(map(repr, row.tolist())))
         fh.write("\n")
 
 
+def read_grid(path: str) -> LatentGrid:
+    """Parse a GRID file; raises GridParseError with line/position context."""
+    return LatentGrid(_read_file(path, "GRID", 3))
+
+
+def write_grid(g: LatentGrid, path: str) -> None:
+    """Write a GRID file, one image row per line, lossless float formatting."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        _write_block(fh, f"GRID {g.h} {g.w} {g.c}", g.data.reshape(g.h, g.w * g.c))
+
+
 def read_mask(path: str) -> Mask:
-    tokens = _read_tokens(path)
-    h, w = _parse_header(tokens, path, "MASK", 2)
-    values = _parse_values(tokens, path, h * w)
-    _expect_end(tokens, path, h * w)
+    values = _read_file(path, "MASK", 2)
     if not np.isin(values, (0.0, 1.0)).all():
         raise GridParseError(f"{path}: mask values must be exactly 0 or 1")
-    return Mask(values.reshape(h, w))
+    return Mask(values)
 
 
 def write_mask(m: Mask, path: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"MASK {m.h} {m.w}\n")
-        for row in m.data:
-            fh.write(" ".join(str(int(v)) for v in row.tolist()))
-            fh.write("\n")
+        _write_block(fh, f"MASK {m.h} {m.w}", m.data.astype(np.int64))

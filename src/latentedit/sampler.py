@@ -283,9 +283,9 @@ def _sample(denoiser, shape, sched, cfg, rng, md=None, src=None, recon=None, z_i
     """``sample`` on raw arrays, unchecked: the noise draws and the reverse loop.
 
     With ``members = (k,)`` the state is a (k, *shape) stack of members
-    stepped in lockstep: the denoiser, ``src`` and ``z_init`` carry the
-    member axis, and every member shares z_T, the step noise and the pin
-    noise, each drawn once in one member's layout and broadcast.  So each
+    stepped in lockstep: the denoiser and ``src`` carry the member axis, and
+    every member shares z_T (or ``z_init``), the step noise and the pin
+    noise, each given or drawn once in one member's layout and broadcast.  So each
     member's result equals its own ``sample`` run bit for bit.
     """
     pin_rng = rng.spawn("pin")
@@ -293,7 +293,7 @@ def _sample(denoiser, shape, sched, cfg, rng, md=None, src=None, recon=None, z_i
     with _noise_pool(math.prod(shape)) as pool:
         noise = _normal_rows(rng, shape, sched.T + (z_init is None), pool)
         pin_noise = _normal_rows(pin_rng, shape, sched.T, pool) if pinned else None
-        z = z_init if z_init is not None else np.broadcast_to(next(noise), members + shape)
+        z = np.broadcast_to(z_init if z_init is not None else next(noise), members + shape)
         return _reverse(denoiser, z, noise, sched, cfg, md, src, pin_noise, recon)
 
 

@@ -44,11 +44,15 @@ class NoiseSchedule:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "T", beta.size)
 
-    def query(self, t: int) -> tuple[float, float, float, float]:
-        """Return (beta, alpha, alpha_bar, sigma) at timestep t in {1..T}."""
+    def _index(self, t: int) -> int:
+        """The table index of timestep t in {1..T}."""
         if not 1 <= t <= self.T:
             raise ValueError(f"timestep {t} out of range [1, {self.T}]")
-        i = t - 1
+        return t - 1
+
+    def query(self, t: int) -> tuple[float, float, float, float]:
+        """Return (beta, alpha, alpha_bar, sigma) at timestep t in {1..T}."""
+        i = self._index(t)
         return (
             float(self.beta[i]),
             float(self.alpha[i]),

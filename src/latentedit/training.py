@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import GMMPrior, _diffusion_batches
-from .grid import (
-    GridParseError, RngStream, _parse_header, _parse_values, _read_tokens, _write_rows,
-)
+from .grid import GridParseError, RngStream, _read_block, _read_tokens, _write_block
 from .sampler import DivergenceError
 from .schedule import NoiseSchedule
 
@@ -217,8 +215,7 @@ def save_model(model: TinyDenoiser, path: str) -> None:
             arr = getattr(model, name)
             mat = arr if arr.ndim == 2 else arr[None, :]
             fh.write(f"PARAM {name}\n")
-            fh.write(f"GRID {mat.shape[0]} {mat.shape[1]} 1\n")
-            _write_rows(fh, mat)
+            _write_block(fh, f"GRID {mat.shape[0]} {mat.shape[1]} 1", mat)
 
 
 def load_model(path: str) -> TinyDenoiser:
@@ -229,10 +226,10 @@ def load_model(path: str) -> TinyDenoiser:
         _, name = next(tokens, (lineno, None))
         if word != "PARAM" or name is None:
             raise GridParseError(f"{path}: line {lineno}: expected 'PARAM <name>' block")
-        rows, cols, chans = _parse_header(tokens, path, "GRID", 3)
-        if chans != 1:
+        block = _read_block(tokens, path, "GRID", 3)
+        if block.shape[2] != 1:
             raise GridParseError(f"{path}: parameter {name} must have c=1")
-        tensors[name] = _parse_values(tokens, path, rows * cols).reshape(rows, cols)
+        tensors[name] = block[:, :, 0]
     missing = {*PARAM_NAMES, "time_embed"} - tensors.keys()
     if missing:
         raise GridParseError(f"{path}: missing parameters {sorted(missing)}")

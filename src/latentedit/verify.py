@@ -59,18 +59,13 @@ def _check_score_consistency(fault: bool) -> tuple[bool, str]:
     prior = GMMPrior(np.array([0.5, 0.3, 0.2]), means, np.array([0.7, 1.2, 0.4]))
     t = 17
     abar = sched.alpha_bar[t - 1]
-    variances = abar * prior.scales**2 + (1.0 - abar)
-    mean_mat = np.sqrt(abar) * prior.mean_matrix()
+    # q_t is the mixture with means sqrt(abar) mu_k and spreads sqrt(abar s_k^2 + 1 - abar)
+    noised = GMMEnergy(GMMPrior(
+        prior.weights, tuple(LatentGrid(np.sqrt(abar) * m.data) for m in prior.means),
+        np.sqrt(abar * prior.scales**2 + (1.0 - abar))))
 
     def log_qt(flat: np.ndarray) -> float:
-        diff = flat[None, :] - mean_mat
-        comp = (
-            np.log(prior.weights)
-            - 0.5 * prior.dim * np.log(2 * np.pi * variances)
-            - (diff**2).sum(axis=1) / (2 * variances)
-        )
-        peak = comp.max()
-        return float(peak + np.log(np.exp(comp - peak).sum()))
+        return -noised.value(LatentGrid(flat.reshape(prior.shape)))
 
     z = LatentGrid(rng.normal((2, 2, 1)))
     pred = gmm_eps(z.flat()[None, :], t, prior, sched)[0]

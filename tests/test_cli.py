@@ -1,5 +1,6 @@
 """CLI commands: config validation, outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -146,13 +147,36 @@ class TestRunSession:
                                      "edits": [{"id": "big", "gain": 1e308, "bias": 1e308}]}},
          "edit 1 (big)"),
         ("run-session", {"session": {"input": "input.grid",
-                                     "edits": [{"id": "g1", "gain": 1e200},
-                                               {"id": "g2", "gain": 1e200}]}},
+                                     "edits": [{"id": "g1", "gain": 1.0},
+                                               {"id": "g2", "gain": 1e308}]}},
          "edit 2 (g2)"),
         ("bench-locality", {"bench": {"locality": {"edit": {"id": "big", "gain": 1e308,
                                                             "bias": 1e308}}}},
          "edit 1 (big)"),
-    ], ids=["target-overflows", "second-target-overflows", "locality-target-overflows"])
+        # a finite output latent whose mean or spread is inf: the session log
+        # held Infinity, and a next edit conditioned on a latent renormalized by 0
+        ("run-session", {"session": {"input": "input.grid",
+                                     "edits": [{"id": "big", "gain": 1e307, "scale": 0.1}]}},
+         "edit 1 (big)"),
+        ("run-session", {"session": {"input": "input.grid",
+                                     "edits": [{"id": "big", "gain": 1e307, "scale": 0.1},
+                                               {"id": "next", "gain": 1.0, "scale": 0.1}]}},
+         "edit 1 (big)"),
+        ("run-session", {"session": {"input": "input.grid",
+                                     "edits": [{"id": "g1", "gain": 1e200},
+                                               {"id": "g2", "gain": 1e200}]}},
+         "edit 1 (g1)"),
+        ("run-session", {"session": {"input": "input.grid", "strategy": "image_iteration",
+                                     "edits": [{"id": "g1", "gain": 1e200},
+                                               {"id": "g2", "gain": 1e200}]}},
+         "edit 1 (g1)"),
+        ("bench-locality", {"bench": {"locality": {"edit": {"id": "big", "gain": 1e306,
+                                                            "scale": 0.1}}}},
+         "edit 1 (big)"),
+    ], ids=["target-overflows", "second-target-overflows", "locality-target-overflows",
+            "latent-mean-overflows", "latent-mean-overflows-then-renormalized",
+            "latent-spread-overflows", "image-iteration-latent-spread-overflows",
+            "locality-latent-mean-overflows"])
     def test_edit_that_overflows_exits_1_with_one_line(self, workspace, capsys, command, change,
                                                        edit):
         config = write_config(workspace, {"seed": 0, "out_dir": "out", "schedule": {"T": 20},
@@ -161,6 +185,16 @@ class TestRunSession:
         err = capsys.readouterr().err
         assert err == (f"{command}: {edit} overflows: "
                        "its target mean, latent or image is not finite\n")
+
+    @pytest.mark.parametrize("command, key, message", [
+        ("run-session", "session", "config.session: missing (needed by run-session)"),
+        ("bench-drift", "out_dir", "config.out_dir: missing (or pass --out)"),
+    ], ids=["no-session", "no-out-dir"])
+    def test_missing_block_exits_2_naming_it(self, workspace, capsys, command, key, message):
+        cfg = base_config()
+        del cfg[key]
+        assert main([command, write_config(workspace, cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestBenchCommands:
@@ -233,6 +267,19 @@ class TestBenchCommands:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1].startswith("FAIL  moment-equivalence-prior_0: ")
         assert captured.err == ""
+
+    def test_ebm_json_is_strict_when_moments_overflow(self, workspace):
+        cfg = {"seed": 0, "schedule": {"T": 5}, "bench": {"ebm": {
+            "chains": 10, "priors": [{"weights": [1.0], "means": [1e308], "scales": [1.0]}],
+            "langevin": {"steps": 5}}}}
+        out = workspace / "ebmjson"
+        assert main(["bench-ebm", write_config(workspace, cfg), "--out", str(out), "--json"]) == 1
+        def reject(constant):  # NaN, Infinity and -Infinity are not JSON
+            raise ValueError(f"not strict JSON: {constant}")
+
+        row, = json.loads((out / "ebm.json").read_text(), parse_constant=reject)
+        assert None in row.values()  # a non-finite cell is null
+        assert row["pass"] is False
 
     def test_ebm_priors_are_checked_before_any_chain_runs(self, workspace, capsys, monkeypatch):
         from latentedit import cli
@@ -315,6 +362,32 @@ class TestTrainCommand:
         with open(os.path.join(out_b, "loss_trace.csv"), "rb") as fh:
             b = fh.read()
         assert a == b
+
+    def tiny_training(self):
+        return {"seed": 3, "schedule": {"T": 10},
+                "training": {"prior": {"weights": [0.5, 0.5], "means": [-1.0, 1.0],
+                                       "scales": [0.5, 0.5]},
+                             "hidden": 4, "embed": 3, "batch_size": 8, "steps": 6}}
+
+    def test_tiny_trace_bytes_match_digest(self, workspace):
+        from test_bench import recorded_platform
+
+        if not recorded_platform():
+            pytest.skip("digest was recorded on another CPU or numpy build")
+        out = workspace / "tiny"
+        assert main(["train", write_config(workspace, self.tiny_training()), "--out",
+                     str(out)]) == 0
+        # sha256 of loss_trace.csv as written before the trace was a report
+        assert hashlib.sha256((out / "loss_trace.csv").read_bytes()).hexdigest() == (
+            "0da95656606aff1d72e8b80c02082880f523dbc7a0caa3c09e6e0bac54bbd3dc")
+
+    def test_embed_sets_the_time_embedding_width(self, workspace):
+        from latentedit.training import load_model
+
+        out = workspace / "embed"
+        assert main(["train", write_config(workspace, self.tiny_training()), "--out",
+                     str(out)]) == 0
+        assert load_model(str(out / "model.params")).time_embed.shape == (10, 3)
 
     def test_zero_scale_prior_is_accepted(self, workspace):
         cfg = self.base_training(steps=2)
@@ -473,6 +546,11 @@ class TestConfigValidation:
         ("run-session", {"session": {"input": "huge.grid"}},
          r"^config error: config\.session\.input: .*huge\.grid: line 1: "
          r"expected 1000000000000000 values, got 0\n$"),
+        ("run-session", {"session": {"input": "input.grid", "strategy": "concat_instructions",
+                                     "edits": [{"id": "a", "gain": 1e200},
+                                               {"id": "b", "gain": 1e200}]}},
+         r"^config error: config\.session: the concat_instructions chain does not compose: "
+         r"gain must be "),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -480,7 +558,7 @@ class TestConfigValidation:
             "negative-edit-noise", "ebm-zero-scale", "clamp-overflows-cell",
             "edit-scale-square-overflows", "edit-noise-square-overflows",
             "locality-scale-square-overflows", "concat-scale-overflows",
-            "drift-concat-scale-overflows", "oversized-grid-header"])
+            "drift-concat-scale-overflows", "oversized-grid-header", "concat-gain-overflows"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")

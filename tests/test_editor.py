@@ -233,9 +233,8 @@ class TestDeterminism:
         outs_a, outs_b, outs_f = run_all(reuse_a), run_all(reuse_b), run_all(fresh)
         assert np.array_equal(outs_a[-1].data, outs_b[-1].data)
         # the z_T actually differs between the literal-reuse and fresh modes
-        assert not np.array_equal(reuse_a.z_init.data,
-                                  RngStream(23).spawn("edit", 1).normal(reuse_a.z_init.shape))
         assert outs_f[0].shape == outs_a[0].shape
+        assert not np.array_equal(outs_a[0].data, outs_f[0].data)
 
 
 def lockstep_sessions(k, strategies, shape, method, mask_mode, reuse_init, seed, T, steps):
@@ -324,7 +323,7 @@ class TestLockstep:
         ("seed", lambda s: dataclasses.replace(s, seed=s.seed + 1)),
         ("e", lambda s: dataclasses.replace(s, e=1)),
         ("latent shape", lambda s: dataclasses.replace(
-            s, original=LatentGrid(np.zeros((8, 6, 1))), masks=None)),
+            s, original=LatentGrid(np.zeros((8, 6, 1))), masks=[None] * 2)),
         ("sched", lambda s: dataclasses.replace(s, sched=build_schedule("linear", 4, 1e-3, 0.2))),
         ("sampler_cfg", lambda s: dataclasses.replace(
             s, sampler_cfg=SamplerConfig(method="euler_ancestral"))),

@@ -1,6 +1,7 @@
 """Grids, masks, random streams, and the grid file format."""
 
 import contextlib
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -265,7 +266,9 @@ class TestGridIO:
          "line 2: expected 99999999999999999999 values, got 1"),
         (load_model, "PARAM W1\nGRID 100000 100000 1\n0.5\n",
          "line 3: expected 10000000000 values, got 1"),
-    ], ids=["grid", "mask", "beyond-maxsize", "model"])
+        (load_model, "PARAM W1\nGRID 100000 100000 1\n",
+         "line 2: expected 10000000000 values, got 0"),
+    ], ids=["grid", "mask", "beyond-maxsize", "model", "model-no-values"])
     def test_oversized_header_reports_the_count(self, tmp_path, reader, text, message):
         # not a MemoryError, islice's ValueError or numpy's dimension limit
         path = tmp_path / "big.grid"
@@ -273,6 +276,34 @@ class TestGridIO:
         with pytest.raises(GridParseError) as got:
             reader(str(path))
         assert str(got.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("reader, content, message", [
+        (read_grid, b"", "line 1: empty file, expected 'GRID' header"),
+        (read_mask, b"MASK 2\n", "line 1: truncated MASK header"),
+        (read_grid, b"GRID 2 0 1\n", "line 1: dimensions must be positive, got [2, 0, 1]"),
+        (read_mask, b"MASK 1 1\n\xff\n", "not an ASCII grid file ('ascii' codec can't decode "
+                                         "byte 0xff in position 9: ordinal not in range(128))"),
+        (load_model, b"GRID 1 1 1\n0.5\n", "line 1: expected 'PARAM <name>' block"),
+        (load_model, b"PARAM W1\nGRID 1 1 2\n0.5 0.5\n", "parameter W1 must have c=1"),
+    ], ids=["empty", "truncated-header", "zero-dimension", "not-ascii", "model-no-param",
+            "model-two-channels"])
+    def test_malformed_file_reports_one_error(self, tmp_path, reader, content, message):
+        path = tmp_path / "bad.grid"
+        path.write_bytes(content)
+        with pytest.raises(GridParseError) as got:
+            reader(str(path))
+        assert str(got.value) == f"{path}: {message}"
+
+    def test_written_bytes_match_digest(self, tmp_path):
+        # sha256 of each file as written before grid, mask and model files
+        # shared one block writer; repr keeps -0.0 and 1e-300 exact
+        write_grid(LatentGrid(np.array([-0.0, 1e-300, 1 / 3, -2.5, 1e300, 7.0]).reshape(2, 1, 3)),
+                   str(tmp_path / "g.grid"))
+        write_mask(Mask(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])), str(tmp_path / "m.mask"))
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("g.grid", "m.mask")]
+        assert digests == ["3b3130738b20ab4f44a0bcca83bd2bb789431e767f98676a5cce90403e743105",
+                           "9ad5bd36d8b4122950ae04d971a69531405710ac75ea2060b17479d94682b333"]
 
     def test_mask_roundtrip(self, tmp_path):
         m = Mask(np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -3,7 +3,7 @@ diffusion sampling: variance schedules, exact closed-form denoisers, forward
 and reverse sampling loops, a deterministic lossy codec, an edit-session
 orchestrator, and quantitative drift/locality/equivalence experiments."""
 
-from .codec import CodecConfig, blur_grid, decode, encode, roundtrip_drift
+from .codec import CodecConfig, blur_grid, decode, encode
 from .denoiser import (
     EditInstruction,
     GMMEnergy,
@@ -74,7 +74,6 @@ __all__ = [
     "renormalize_latent",
     "reverse_step",
     "rmse",
-    "roundtrip_drift",
     "run_all",
     "sample",
     "train",

@@ -149,8 +149,8 @@ _FIELDS = {
     "bench.ebm.langevin.steps": (int, 2000, None),
     "training": (dict, None, None),
     "training.prior": ("bench.ebm.priors[]", _REQUIRED, None),
-    "training.hidden": (int, None, None),
-    "training.embed": (int, None, None),
+    "training.hidden": (int, None, _at_least(1)),
+    "training.embed": (int, None, _at_least(1)),
     "training.learning_rate": (float, 0.004, None),
     "training.batch_size": (int, 128, None),
     "training.steps": (int, 20000, None),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import LatentGrid, rmse
+from .grid import LatentGrid
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,3 @@ def decode(latent: LatentGrid, cfg: CodecConfig) -> LatentGrid:
     up = np.repeat(np.repeat(latent.data, k, axis=0), k, axis=1)
     return LatentGrid(up + cfg.unsharp * (up - _blur(up)))
 
-
-def roundtrip_drift(image: LatentGrid, n: int, cfg: CodecConfig) -> list[float]:
-    """Iterate x <- decode(encode(x)) n times; RMSE against the original
-    after each pass."""
-    if n < 1:
-        raise ValueError(f"iteration count must be >= 1, got {n}")
-    drift = []
-    x = image
-    for _ in range(n):
-        x = decode(encode(x, cfg), cfg)
-        drift.append(rmse(x, image))
-    return drift

@@ -6,7 +6,8 @@ Grid file format (text, bit-exact):
             (h outer, then w, then c).
 Masks use ``MASK h w`` followed by h*w values, each exactly 0 or 1.  A
 model file is a sequence of ``PARAM <name>`` lines, each followed by one
-GRID block; all three share one block reader and writer.
+GRID block.  All three share one block writer; grid and mask files, which
+hold one block each, share one reader.
 
 Floats are written with ``repr`` (shortest digits that round-trip float64,
 up to 17 significant digits), so write->read is lossless.
@@ -326,11 +327,12 @@ def _read_tokens(path: str):
         raise GridParseError(f"{path}: not an ASCII grid file ({exc})") from None
 
 
-def _read_block(tokens, path: str, magic: str, n_dims: int) -> np.ndarray:
-    """Parse a ``magic`` header of ``n_dims`` positive integers, then as many
-    finite floats as they multiply to, shaped by the header.  The array is
-    sized by the values read, not by the header's claim, and a line number
-    in a message counts from the header's line."""
+def _read_file(path: str, magic: str, n_dims: int) -> np.ndarray:
+    """Parse a file that holds one block: a ``magic`` header of ``n_dims``
+    positive integers, then as many finite floats as they multiply to, shaped
+    by the header, and nothing after them.  The array is sized by the values
+    read, not by the header's claim."""
+    tokens = _read_tokens(path)
     try:
         lineno, word = next(tokens)
     except StopIteration:
@@ -368,17 +370,10 @@ def _read_block(tokens, path: str, magic: str, n_dims: int) -> np.ndarray:
     values = np.fromiter(floats(), dtype=np.float64)
     if values.size != count:
         raise GridParseError(f"{path}: line {lineno}: expected {count} values, got {values.size}")
-    return values.reshape(dims)
-
-
-def _read_file(path: str, magic: str, n_dims: int) -> np.ndarray:
-    """A file that holds one block and nothing after it."""
-    tokens = _read_tokens(path)
-    values = _read_block(tokens, path, magic, n_dims)
     extra = next(tokens, None)
     if extra is not None:
         raise GridParseError(f"{path}: line {extra[0]}: expected {values.size} values, found more")
-    return values
+    return values.reshape(dims)
 
 
 def _write_block(fh, header: str, rows: np.ndarray) -> None:

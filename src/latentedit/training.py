@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import GMMPrior, _diffusion_batches
-from .grid import GridParseError, RngStream, _read_block, _read_tokens, _write_block
+from .grid import RngStream, _write_block
 from .sampler import DivergenceError
 from .schedule import NoiseSchedule
 
@@ -95,6 +95,11 @@ class TrainConfig:
 
 def forward(model: TinyDenoiser, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Batched forward pass: z is (B, d), t is (B,) timesteps in {1..T}."""
+    if z.ndim != 2 or z.shape[1] != model.d:
+        raise ValueError(f"latent has shape {z.shape}, model expects {model.d} values a row")
+    bad = t[(t < 1) | (t > model.T)]
+    if bad.size:
+        raise ValueError(f"timestep {bad[0]} out of range [1, {model.T}]")
     x = np.concatenate([z, model.time_embed[t - 1]], axis=1)
     hidden = np.tanh(x @ model.W1.T + model.b1)
     return hidden @ model.W2.T + model.b2
@@ -192,22 +197,6 @@ def heldout_loss(
     return loss
 
 
-def model_denoiser(model: TinyDenoiser):
-    """Denoiser callable for ``sampler.sample`` (a latent of d values) and,
-    for a dim-1 model, ``sampler.sample_chains`` (a vector of chains)."""
-
-    def predict(z: np.ndarray, t: int) -> np.ndarray:
-        if z.size != model.d and not (model.d == 1 and z.ndim == 1):
-            raise ValueError(f"latent has {z.size} values, model expects {model.d}")
-        if not 1 <= t <= model.T:
-            raise ValueError(f"timestep {t} out of range [1, {model.T}]")
-        batch = z.size // model.d
-        steps = np.full(batch, t, dtype=np.int64)
-        return forward(model, z.reshape(batch, model.d), steps).reshape(z.shape)
-
-    return predict
-
-
 def save_model(model: TinyDenoiser, path: str) -> None:
     """Serialize as named GRID blocks: ``PARAM <name>`` then the tensor."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -217,26 +206,3 @@ def save_model(model: TinyDenoiser, path: str) -> None:
             fh.write(f"PARAM {name}\n")
             _write_block(fh, f"GRID {mat.shape[0]} {mat.shape[1]} 1", mat)
 
-
-def load_model(path: str) -> TinyDenoiser:
-    """Read a file written by ``save_model``; raises GridParseError with line context."""
-    tensors: dict[str, np.ndarray] = {}
-    tokens = _read_tokens(path)
-    for lineno, word in tokens:
-        _, name = next(tokens, (lineno, None))
-        if word != "PARAM" or name is None:
-            raise GridParseError(f"{path}: line {lineno}: expected 'PARAM <name>' block")
-        block = _read_block(tokens, path, "GRID", 3)
-        if block.shape[2] != 1:
-            raise GridParseError(f"{path}: parameter {name} must have c=1")
-        tensors[name] = block[:, :, 0]
-    missing = {*PARAM_NAMES, "time_embed"} - tensors.keys()
-    if missing:
-        raise GridParseError(f"{path}: missing parameters {sorted(missing)}")
-    return TinyDenoiser(
-        W1=tensors["W1"],
-        b1=tensors["b1"][0],
-        W2=tensors["W2"],
-        b2=tensors["b2"][0],
-        time_embed=tensors["time_embed"],
-    )

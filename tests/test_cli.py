@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 from latentedit import verify
-from latentedit.cli import _FIELDS, ConfigError, load_config, main
+from latentedit.cli import _FIELDS, _REQUIRED, ConfigError, load_config, main
 from latentedit.fixtures import load_fixture
 from latentedit.grid import read_grid, write_grid, write_mask, LatentGrid, Mask
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_schema():
+    """README's "Config schema" block with its ``//`` comments stripped."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return re.sub(r"//.*", "", block)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -382,12 +390,10 @@ class TestTrainCommand:
             "0da95656606aff1d72e8b80c02082880f523dbc7a0caa3c09e6e0bac54bbd3dc")
 
     def test_embed_sets_the_time_embedding_width(self, workspace):
-        from latentedit.training import load_model
-
         out = workspace / "embed"
         assert main(["train", write_config(workspace, self.tiny_training()), "--out",
                      str(out)]) == 0
-        assert load_model(str(out / "model.params")).time_embed.shape == (10, 3)
+        assert "PARAM time_embed\nGRID 10 3 1\n" in (out / "model.params").read_text()
 
     def test_zero_scale_prior_is_accepted(self, workspace):
         cfg = self.base_training(steps=2)
@@ -402,14 +408,14 @@ class TestTrainCommand:
         assert "Traceback" not in err
 
     def test_model_file_loads_back(self, workspace):
-        from latentedit.training import load_model
-
-        out = str(workspace / "trainload")
+        out = workspace / "trainload"
         config = write_config(workspace, self.base_training(steps=50))
-        main(["train", config, "--out", out])
-        model = load_model(os.path.join(out, "model.params"))
-        assert model.d == 1
-        assert model.T == 50
+        main(["train", config, "--out", str(out)])
+        lines = (out / "model.params").read_text().splitlines()
+        dims = {line.split()[1]: lines[i + 1].split()[1:]
+                for i, line in enumerate(lines) if line.startswith("PARAM ")}
+        assert dims["W2"][0] == "1"  # W2 is (d, hidden)
+        assert dims["time_embed"][0] == "50"  # time_embed is (T, embed)
 
 
 class TestVerifyCommand:
@@ -551,6 +557,15 @@ class TestConfigValidation:
                                                {"id": "b", "gain": 1e200}]}},
          r"^config error: config\.session: the concat_instructions chain does not compose: "
          r"gain must be "),
+        ("train", {"training": {"prior": {"weights": [1.0], "means": [0.0], "scales": [1.0]},
+                                "hidden": -1}},
+         r"^config error: config\.training\.hidden: must be >= 1, got -1\n$"),
+        ("train", {"training": {"prior": {"weights": [1.0], "means": [0.0], "scales": [1.0]},
+                                "hidden": 0}},
+         r"^config error: config\.training\.hidden: must be >= 1, got 0\n$"),
+        ("train", {"training": {"prior": {"weights": [1.0], "means": [0.0], "scales": [1.0]},
+                                "embed": -2}},
+         r"^config error: config\.training\.embed: must be >= 1, got -2\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -558,7 +573,8 @@ class TestConfigValidation:
             "negative-edit-noise", "ebm-zero-scale", "clamp-overflows-cell",
             "edit-scale-square-overflows", "edit-noise-square-overflows",
             "locality-scale-square-overflows", "concat-scale-overflows",
-            "drift-concat-scale-overflows", "oversized-grid-header", "concat-gain-overflows"])
+            "drift-concat-scale-overflows", "oversized-grid-header", "concat-gain-overflows",
+            "negative-hidden", "zero-hidden", "negative-embed"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")
@@ -613,10 +629,7 @@ class TestConfigValidation:
         assert "config.schedule: T must be a positive integer" in capsys.readouterr().err
 
     def test_readme_schema_is_accepted(self, tmp_path):
-        with open(README, encoding="utf-8") as fh:
-            text = fh.read()
-        block = text.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
-        doc = re.sub(r"//.*", "", block)
+        doc = readme_schema()
         for name in re.findall(r'"([\w.]+\.(?:grid|mask))"', doc):
             if name.endswith(".mask"):
                 write_mask(Mask.ones(18, 18), str(tmp_path / name))
@@ -636,3 +649,31 @@ class TestConfigValidation:
 
         documented = set(fields(json.loads(doc), ""))
         assert {f for f in _FIELDS if f and not f.endswith("[]")} <= documented
+
+    def test_readme_schema_lists_the_table(self):
+        # every _FIELDS path and every default the table gives, as README shows
+        # them; an alias field's children are checked through its target
+        aliases = {path: kind for path, (kind, _, _) in _FIELDS.items() if isinstance(kind, str)}
+        documented = {}
+
+        def walk(node, path):
+            for alias, target in aliases.items():
+                if path.startswith(alias + "."):
+                    path = target + path[len(alias):]
+            documented.setdefault(path, node)
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    walk(value, f"{path}.{key}".lstrip("."))
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value, path + "[]")
+
+        walk(json.loads(readme_schema()), "")
+        # a field that takes a number or a list is documented by either form
+        documented.update({f"{path}[]": None for path, (kind, _, _) in _FIELDS.items()
+                           if kind == (float, list) and path in documented})
+        assert set(documented) == set(_FIELDS)
+        defaults = {path: default for path, (_, default, _) in _FIELDS.items()
+                    if default is not None and default is not _REQUIRED and default != {}}
+        for path, default in defaults.items():
+            assert documented[path] == default, path

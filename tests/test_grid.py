@@ -27,7 +27,6 @@ from latentedit.grid import (
     write_grid,
     write_mask,
 )
-from latentedit.training import load_model
 
 
 class TestLatentGrid:
@@ -264,11 +263,7 @@ class TestGridIO:
          "line 2: expected 1000000000000000000 values, got 2"),
         (read_grid, "GRID 99999999999999999999 1 1\n0.5\n",
          "line 2: expected 99999999999999999999 values, got 1"),
-        (load_model, "PARAM W1\nGRID 100000 100000 1\n0.5\n",
-         "line 3: expected 10000000000 values, got 1"),
-        (load_model, "PARAM W1\nGRID 100000 100000 1\n",
-         "line 2: expected 10000000000 values, got 0"),
-    ], ids=["grid", "mask", "beyond-maxsize", "model", "model-no-values"])
+    ], ids=["grid", "mask", "beyond-maxsize"])
     def test_oversized_header_reports_the_count(self, tmp_path, reader, text, message):
         # not a MemoryError, islice's ValueError or numpy's dimension limit
         path = tmp_path / "big.grid"
@@ -283,10 +278,7 @@ class TestGridIO:
         (read_grid, b"GRID 2 0 1\n", "line 1: dimensions must be positive, got [2, 0, 1]"),
         (read_mask, b"MASK 1 1\n\xff\n", "not an ASCII grid file ('ascii' codec can't decode "
                                          "byte 0xff in position 9: ordinal not in range(128))"),
-        (load_model, b"GRID 1 1 1\n0.5\n", "line 1: expected 'PARAM <name>' block"),
-        (load_model, b"PARAM W1\nGRID 1 1 2\n0.5 0.5\n", "parameter W1 must have c=1"),
-    ], ids=["empty", "truncated-header", "zero-dimension", "not-ascii", "model-no-param",
-            "model-two-channels"])
+    ], ids=["empty", "truncated-header", "zero-dimension", "not-ascii"])
     def test_malformed_file_reports_one_error(self, tmp_path, reader, content, message):
         path = tmp_path / "bad.grid"
         path.write_bytes(content)

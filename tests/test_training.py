@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from latentedit import grid
 from latentedit.denoiser import GMMPrior, bayes_loss_estimate, gmm_eps
-from latentedit.grid import GridParseError, LatentGrid, RngStream
+from latentedit.grid import LatentGrid, RngStream
 from latentedit.sampler import DivergenceError, SamplerConfig, sample_chains
 from latentedit.schedule import build_schedule
 from latentedit.training import (
@@ -19,9 +19,7 @@ from latentedit.training import (
     TrainConfig,
     forward,
     heldout_loss,
-    load_model,
     loss_and_grad,
-    model_denoiser,
     save_model,
     train,
 )
@@ -137,8 +135,8 @@ def assert_same_training(model, prior, cfg):
 
 
 def grid_forward(model, z: LatentGrid, t: int) -> LatentGrid:
-    """The model's prediction at one grid, through ``model_denoiser``'s checks."""
-    return LatentGrid(model_denoiser(model)(z.data, t))
+    """The model's prediction at one grid, through ``forward``'s checks."""
+    return LatentGrid(forward(model, z.data.reshape(1, -1), np.array([t])).reshape(z.shape))
 
 
 def zero_model(d=2, T=10, hidden=4, embed=4):
@@ -172,6 +170,15 @@ class TestForward:
             grid_forward(model, LatentGrid.constant(0.0, 3, 1, 1), 1)
         with pytest.raises(ValueError, match="out of range"):
             grid_forward(model, LatentGrid.constant(0.0, 2, 1, 1), 11)
+        with pytest.raises(ValueError, match=r"^latent has shape \(2,\), model expects 2 values"):
+            forward(model, np.zeros(2), np.array([1]))
+
+    @pytest.mark.parametrize("t", [0, 11])
+    def test_timestep_outside_the_schedule_is_rejected(self, t):
+        # t = 0 would read the last embedding row, t = T + 1 past the table;
+        # the message names the first bad timestep
+        with pytest.raises(ValueError, match=rf"^timestep {t} out of range \[1, 10\]$"):
+            forward(zero_model(d=2, T=10), np.zeros((3, 2)), np.array([4, t, 12]))
 
     def test_init_rejects_oversized_latents(self):
         with pytest.raises(ValueError, match=r"\[1, 64\]"):
@@ -308,7 +315,11 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.004, batch_size=128, steps=4000,
                           seed=1, optimizer="adam")
         trained, _ = train(model, prior, sched50, cfg)
-        z = sample_chains(model_denoiser(trained), 6000, sched50,
+
+        def chains(z, t):
+            return forward(trained, z[:, None], np.full(z.size, t))[:, 0]
+
+        z = sample_chains(chains, 6000, sched50,
                           SamplerConfig(), RngStream(71), prior_init=prior)
         assert abs(z.mean() - 0.0) < 0.2
         assert abs(z.var() - 4.0625) / 4.0625 < 0.2
@@ -411,72 +422,10 @@ class TestBlockDrawsAndFlatOptimiser:
             assert got.shape == getattr(model, name).shape
             assert got.flags.c_contiguous and got.flags.owndata, name
 
-    def test_trained_model_roundtrips_byte_identically(self, tmp_path):
-        model = TinyDenoiser.init(d=3, T=20, hidden=8, embed_dim=4, seed=2)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=16, steps=30, seed=5, optimizer="adam")
-        trained, _ = train(model, mixture(3), SCHED20, cfg)
-        first, second = str(tmp_path / "a.params"), str(tmp_path / "b.params")
-        save_model(trained, first)
-        back = load_model(first)
-        save_model(back, second)
-        with open(first, "rb") as fa, open(second, "rb") as fb:
-            assert fa.read() == fb.read()
-        for name in (*PARAM_NAMES, "time_embed"):
-            assert getattr(back, name).tobytes() == getattr(trained, name).tobytes(), name
-
 
 class TestSerialization:
-    def test_roundtrip_preserves_everything(self, tmp_path):
-        model = TinyDenoiser.init(d=3, T=12, hidden=6, embed_dim=4, seed=9)
-        path = str(tmp_path / "model.params")
-        save_model(model, path)
-        back = load_model(path)
-        for name in (*PARAM_NAMES, "time_embed"):
-            assert np.array_equal(getattr(model, name), getattr(back, name))
-        z = LatentGrid.constant(0.4, 3, 1, 1)
-        assert np.array_equal(grid_forward(model, z, 5).data, grid_forward(back, z, 5).data)
-
     def test_file_is_byte_identical_to_golden(self, tmp_path):
         path = str(tmp_path / "model.params")
         save_model(TinyDenoiser.init(d=1, T=3, hidden=2, embed_dim=2, seed=7), path)
         with open(path, "rb") as fh:
             assert fh.read() == GOLDEN_MODEL_FILE.encode("ascii")
-
-    def test_missing_parameter_detected(self, tmp_path):
-        path = str(tmp_path / "model.params")
-        with open(path, "w") as fh:
-            fh.write("PARAM W1\nGRID 1 2 1\n0.0 0.0\n")
-        with pytest.raises(Exception, match="missing parameters"):
-            load_model(path)
-
-    def test_bad_header_reports_line(self, tmp_path):
-        path = str(tmp_path / "model.params")
-        with open(path, "w") as fh:
-            fh.write("PARAM W1\nGRID x 2 1\n0.0 0.0\n")
-        with pytest.raises(GridParseError, match="line 2: bad GRID dimension 'x'"):
-            load_model(path)
-
-
-class TestDenoiserAdapters:
-    def test_model_denoiser_matches_forward(self):
-        model = TinyDenoiser.init(d=4, T=10, hidden=8, seed=3)
-        z = LatentGrid(np.reshape([0.1, 0.2, 0.3, 0.4], (2, 2, 1)))
-        a = model_denoiser(model)(z.data, 4)
-        b = LatentGrid(forward(model, z.data.reshape(1, -1), np.array([4])).reshape(z.shape))
-        assert np.array_equal(a, b.data)
-
-    def test_model_denoiser_runs_chains_of_a_dim_one_model(self):
-        model = TinyDenoiser.init(d=1, T=10, hidden=8, seed=3)
-        z = np.array([-1.5, 0.0, 0.25, 2.0, 3.5])
-        got = model_denoiser(model)(z, 6)
-        want = forward(model, z[:, None], np.full(5, 6, dtype=np.int64))[:, 0]
-        assert got.tobytes() == want.tobytes()
-
-    def test_model_denoiser_checks_size_and_timestep_per_call(self):
-        predict = model_denoiser(TinyDenoiser.init(d=2, T=10, hidden=8, seed=3))
-        with pytest.raises(ValueError, match="model expects 2"):
-            predict(np.zeros(3), 1)
-        with pytest.raises(ValueError, match="model expects 2"):
-            predict(np.zeros((2, 2)), 1)
-        with pytest.raises(ValueError, match="out of range"):
-            predict(np.zeros(2), 0)

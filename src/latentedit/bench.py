@@ -248,10 +248,6 @@ def ebm_equivalence_experiment(
 ) -> EbmReport:
     """Compare moments of diffusion sampling (analytic denoiser, prior-matched
     start) against Langevin sampling of the exact energy."""
-    if n_chains < 1:
-        raise ValueError(f"chain count must be >= 1, got {n_chains}")
-    if prior.dim != 1:
-        raise ValueError("equivalence experiment uses scalar (1x1x1) priors")
     cfg = sampler_cfg or SamplerConfig()
     rng = RngStream(seed)
     diff = sampler_mod.sample_chains(

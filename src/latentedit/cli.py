@@ -3,7 +3,8 @@
 Each subcommand accepts only the flags it reads (``_COMMANDS``); --seed, --out,
 --T, --method and --mask-mode override the config field they name (``_FLAGS``).
 Exit codes: 0 success, 1 check or experiment failure, 2 configuration error.
-The whole config is checked against ``_FIELDS`` whatever the command, and
+The whole config is checked against ``_FIELDS`` and each value block is built
+by the constructor that owns its rules (``_build``), whatever the command, and
 error messages name the offending field path.  Outputs are byte-identical
 across reruns; per-edit wall-clock timings are only logged with --timings.
 """
@@ -206,8 +207,8 @@ def _walk(value, field: str, where: str, base_dir: str, overrides: dict):
     return float(value) if float in kinds else value
 
 
-def _read(path: str, overrides: dict) -> tuple[dict, dict]:
-    """The JSON document as parsed, and its checked copy (see ``_walk``)."""
+def _read(path: str, overrides: dict) -> tuple[dict, dict, dict]:
+    """The JSON document as parsed, its checked copy (``_walk``) and blocks (``_build``)."""
     if not os.path.isfile(path):
         raise ConfigError(f"config: file not found: {path}")
     try:
@@ -215,11 +216,12 @@ def _read(path: str, overrides: dict) -> tuple[dict, dict]:
             doc = json.load(fh)
     except ValueError as exc:  # also undecodable bytes
         raise ConfigError(f"config: invalid JSON: {exc}") from None
-    return doc, _walk(doc, "", "config", os.path.dirname(os.path.abspath(path)), overrides)
+    cfg = _walk(doc, "", "config", os.path.dirname(os.path.abspath(path)), overrides)
+    return doc, cfg, _build(cfg)
 
 
 def load_config(path: str) -> dict:
-    """Read a run config and check all of it; returns the document unchanged."""
+    """Read a run config, check and build all of it; returns the document unchanged."""
     return _read(path, {})[0]
 
 
@@ -236,6 +238,29 @@ def _pick(block: dict, *keys: str) -> dict:
     return {k: block[k] for k in keys if k in block}
 
 
+def _build(cfg: dict) -> dict:
+    """Every value block's library object, built in ``_FIELDS`` order by the
+    constructor that owns its rules, so a bad block fails whatever the command."""
+    built = {"core": {
+        "sched": _at("config.schedule", build_schedule, **cfg["schedule"]),
+        "sampler_cfg": SamplerConfig(**cfg["sampler"]),  # every field is checked by _FIELDS
+        "codec_cfg": _at("config.codec", CodecConfig, **cfg["codec"]),
+    }, "priors": []}
+    ebm = cfg["bench"]["ebm"]
+    for i, block in enumerate(ebm["priors"]):
+        where = f"config.bench.ebm.priors[{i}]"
+        prior = _prior(block, where)
+        _at(where, GMMEnergy, prior)  # Langevin needs the energy's positive scales
+        built["priors"].append((block.get("label", f"prior_{i}"), prior))
+    built["langevin"] = _at("config.bench.ebm.langevin", LangevinConfig, **ebm["langevin"])
+    if "training" in cfg:
+        block = cfg["training"]
+        built["training"] = (_prior(block["prior"], "config.training.prior"), _at(
+            "config.training", training_mod.TrainConfig, seed=cfg["seed"],
+            **_pick(block, "learning_rate", "batch_size", "steps", "optimizer")))
+    return built
+
+
 def _needed(cfg: dict, key: str, why: str):
     if key not in cfg:
         raise ConfigError(f"config.{key}: missing ({why})")
@@ -246,19 +271,6 @@ def _out_dir(cfg: dict) -> str:
     out = _needed(cfg, "out_dir", "or pass --out")
     _at("config.out_dir", os.makedirs, out, exist_ok=True)
     return out
-
-
-def _schedule(cfg: dict):
-    return _at("config.schedule", build_schedule, **cfg["schedule"])
-
-
-def _core(cfg: dict) -> dict:
-    """The schedule, sampler and codec that the editing commands share."""
-    return {
-        "sched": _schedule(cfg),
-        "sampler_cfg": SamplerConfig(**cfg["sampler"]),  # every field is checked by _FIELDS
-        "codec_cfg": _at("config.codec", CodecConfig, **cfg["codec"]),
-    }
 
 
 def _edit(block: dict, where: str, base_dir: str) -> tuple[EditInstruction, Mask | None]:
@@ -297,15 +309,13 @@ def _publish(report, out: str, name: str, args) -> int:
     return 0 if all(ok for _, ok, _ in claims) else 1
 
 
-def cmd_run_session(cfg: dict, args, base_dir: str) -> int:
+def cmd_run_session(cfg: dict, built: dict, args, base_dir: str) -> int:
     block = _needed(cfg, "session", "needed by run-session")
     image = _at("config.session.input", read_grid, os.path.join(base_dir, block["input"]))
     edits, masks = zip(*(_edit(e, f"config.session.edits[{i}]", base_dir)
                          for i, e in enumerate(block["edits"])))
-    session = _at(
-        "config.session", editor_mod.open_session, image, edits, masks, **_core(cfg),
-        seed=cfg["seed"], **_pick(block, "strategy", "reuse_init"),
-    )
+    session = _at("config.session", editor_mod.open_session, image, edits, masks,
+                  **built["core"], seed=cfg["seed"], **_pick(block, "strategy", "reuse_init"))
     out = _out_dir(cfg)
 
     log_edits = []
@@ -334,9 +344,8 @@ def cmd_run_session(cfg: dict, args, base_dir: str) -> int:
     return 0
 
 
-def cmd_bench_drift(cfg: dict, args, base_dir: str) -> int:
-    drift = cfg["bench"]["drift"]
-    core = _core(cfg)
+def cmd_bench_drift(cfg: dict, built: dict, args, base_dir: str) -> int:
+    drift, core = cfg["bench"]["drift"], built["core"]
     fixture = _bench_fixture(cfg, base_dir, core)
     # open_session composes a concat_instructions chain, so one that overflows fails here
     edits = [bench_mod.identity_edit(drift["edit_noise"])]
@@ -351,9 +360,8 @@ def cmd_bench_drift(cfg: dict, args, base_dir: str) -> int:
     return _publish(report, out, "drift", args)
 
 
-def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
-    loc = cfg["bench"]["locality"]
-    core = _core(cfg)
+def cmd_bench_locality(cfg: dict, built: dict, args, base_dir: str) -> int:
+    loc, core = cfg["bench"]["locality"], built["core"]
     fixture = _bench_fixture(cfg, base_dir, core)
     edit, _ = _edit(loc["edit"], "config.bench.locality.edit", base_dir)
     if loc.get("mask") is not None:
@@ -370,18 +378,13 @@ def cmd_bench_locality(cfg: dict, args, base_dir: str) -> int:
     return _publish(report, out, "locality", args)
 
 
-def cmd_bench_ebm(cfg: dict, args, base_dir: str) -> int:
-    ebm = cfg["bench"]["ebm"]
-    sched, sampler_cfg = _schedule(cfg), SamplerConfig(**cfg["sampler"])
-    lang_cfg = _at("config.bench.ebm.langevin", LangevinConfig, **ebm["langevin"])
-    priors = [(p.get("label", f"prior_{i}"), _prior(p, f"config.bench.ebm.priors[{i}]"))
-              for i, p in enumerate(ebm["priors"])]
-    for i, (_, prior) in enumerate(priors):  # Langevin needs GMMEnergy's positive scales
-        _at(f"config.bench.ebm.priors[{i}]", GMMEnergy, prior)
+def cmd_bench_ebm(cfg: dict, built: dict, args, base_dir: str) -> int:
+    core = built["core"]
     out = _out_dir(cfg)
     report = bench_mod.EbmReport([bench_mod.ebm_equivalence_experiment(
-        prior, sched, lang_cfg, ebm["chains"], sampler_cfg=sampler_cfg, seed=cfg["seed"],
-        label=label).rows[0] for label, prior in priors])
+        prior, core["sched"], built["langevin"], cfg["bench"]["ebm"]["chains"],
+        sampler_cfg=core["sampler_cfg"], seed=cfg["seed"], label=label).rows[0]
+        for label, prior in built["priors"]])
     return _publish(report, out, "ebm", args)
 
 
@@ -389,19 +392,14 @@ class _LossTrace(bench_mod.Report):
     columns = ("step", "loss")
 
 
-def cmd_train(cfg: dict, args, base_dir: str) -> int:
+def cmd_train(cfg: dict, built: dict, args, base_dir: str) -> int:
     block = _needed(cfg, "training", "needed by train")
-    sched = _schedule(cfg)
-    prior = _prior(block["prior"], "config.training.prior")
-    train_cfg = _at(
-        "config.training", training_mod.TrainConfig, seed=cfg["seed"],
-        **_pick(block, "learning_rate", "batch_size", "steps", "optimizer"),
-    )
+    sched = built["core"]["sched"]
+    prior, train_cfg = built["training"]
     sizes = _pick(block, "hidden")
     if "embed" in block:
         sizes["embed_dim"] = block["embed"]
-    model = _at("config.training", training_mod.TinyDenoiser.init,
-                d=prior.dim, T=sched.T, seed=cfg["seed"], **sizes)
+    model = training_mod.TinyDenoiser.init(d=prior.dim, T=sched.T, seed=cfg["seed"], **sizes)
     out = _out_dir(cfg)
 
     trained, trace = training_mod.train(model, prior, sched, train_cfg)
@@ -472,8 +470,8 @@ def main(argv=None) -> int:
     overrides = {field: getattr(args, field) for field, _ in _FLAGS.values()
                  if field and getattr(args, field, None) is not None}
     try:
-        _, cfg = _read(args.config, overrides)
-        return command(cfg, args, os.path.dirname(os.path.abspath(args.config)))
+        _, cfg, built = _read(args.config, overrides)
+        return command(cfg, built, args, os.path.dirname(os.path.abspath(args.config)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

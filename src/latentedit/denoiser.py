@@ -41,7 +41,7 @@ class GMMPrior:
         if (w <= 0).any():
             raise ValueError("component weights must be positive")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_TOL}, got {w.sum()!r}")
+            raise ValueError(f"weights must sum to 1 within {WEIGHT_TOL}, got {float(w.sum())!r}")
         if (s < 0).any() or not np.isfinite(s).all():
             raise ValueError("scales must be finite and nonnegative")
         shape = self.means[0].shape
@@ -270,8 +270,7 @@ def edit_conditional_eps(
     The conditional target is N(mu_y, s_y^2 I) with mu_y = gain*z_src + bias,
     giving eps = sqrt(1-abar) * (z_t - sqrt(abar) mu_y) / (abar s_y^2 + 1-abar).
     """
-    mu = edit.target_mean(z_src).data
-    return LatentGrid(_target_eps(z_t.data, t, mu, (edit.target_scale,), sched))
+    return LatentGrid(edit_denoiser(edit, z_src, sched)(z_t.data, t))
 
 
 def _target_eps(

@@ -143,12 +143,10 @@ def _conditioning_latent(session: EditSession) -> tuple[LatentGrid, EditInstruct
         session.renorm_roundtrips += 1
         z_img, f = renormalize_latent(session.prev_latent, cfg)
         return z_img, edit, f
-    if session.strategy == "image_iteration":
+    if session.strategy in ("image_iteration", "blur_baseline"):
         source = session.original if e == 0 else session.outputs[-1]
-        session.encode_calls += 1
-        return codec_mod.encode(source, cfg), edit, 1.0
-    if session.strategy == "blur_baseline":
-        source = session.original if e == 0 else codec_mod.blur_grid(session.outputs[-1])
+        if e and session.strategy == "blur_baseline":
+            source = codec_mod.blur_grid(source)
         session.encode_calls += 1
         return codec_mod.encode(source, cfg), edit, 1.0
     # concat_instructions: original latent (encoded once), composed condition

@@ -25,6 +25,9 @@ def readme_schema():
     return re.sub(r"//.*", "", block)
 
 
+UNIT_PRIOR = {"weights": [1.0], "means": [0.0], "scales": [1.0]}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     with open(path, "w") as fh:
@@ -566,6 +569,19 @@ class TestConfigValidation:
         ("train", {"training": {"prior": {"weights": [1.0], "means": [0.0], "scales": [1.0]},
                                 "embed": -2}},
          r"^config error: config\.training\.embed: must be >= 1, got -2\n$"),
+        ("train", {"codec": {"levels": 1}, "training": {"prior": UNIT_PRIOR, "steps": 2}},
+         r"config\.codec: quantization levels must be >= 2"),
+        ("run-session", {"training": {"prior": UNIT_PRIOR, "batch_size": 0}},
+         r"config\.training: batch size must be >= 1"),
+        ("run-session", {"training": {"prior": UNIT_PRIOR, "optimizer": "rmsprop"}},
+         r"config\.training: optimizer must be 'sgd' or 'adam'"),
+        ("bench-drift", {"bench": {"ebm": {"priors": [{**UNIT_PRIOR, "weights": [0.7]}]}}},
+         r"config\.bench\.ebm\.priors\[0\]: weights must sum to 1 within 1e-12, got 0\.7$"),
+        ("train", {"bench": {"ebm": {"langevin": {"steps": 0}}},
+                   "training": {"prior": UNIT_PRIOR, "steps": 2}},
+         r"config\.bench\.ebm\.langevin: steps must be >= 1"),
+        ("run-session", {"bench": {"ebm": {"priors": [{**UNIT_PRIOR, "scales": [0.0]}]}}},
+         r"config\.bench\.ebm\.priors\[0\]: energy requires strictly positive"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -574,7 +590,9 @@ class TestConfigValidation:
             "edit-scale-square-overflows", "edit-noise-square-overflows",
             "locality-scale-square-overflows", "concat-scale-overflows",
             "drift-concat-scale-overflows", "oversized-grid-header", "concat-gain-overflows",
-            "negative-hidden", "zero-hidden", "negative-embed"])
+            "negative-hidden", "zero-hidden", "negative-embed", "train-codec-levels",
+            "session-training-batch-size", "session-training-optimizer", "drift-ebm-weights",
+            "train-langevin-steps", "session-ebm-zero-scale"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")

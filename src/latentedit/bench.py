@@ -21,7 +21,7 @@ from . import editor as editor_mod
 from . import sampler as sampler_mod
 from .codec import CodecConfig, encode
 from .denoiser import EditInstruction, GMMEnergy, GMMPrior, gmm_chain_denoiser
-from .grid import LatentGrid, Mask, RngStream, mean_stat, rmse
+from .grid import LatentGrid, Mask, RngStream, rmse
 from .sampler import LangevinConfig, SamplerConfig
 from .schedule import NoiseSchedule
 
@@ -173,21 +173,14 @@ def drift_experiment(
         )
         for strategy in strategies
     ]
-    rows = [[] for _ in sessions]
-    prev = [fixture] * len(sessions)
-    for step in range(1, steps + 1):
-        for i, (session, out) in enumerate(zip(sessions, editor_mod._apply_edits(sessions))):
-            latent = session.prev_latent
-            rows[i].append((
-                session.strategy,
-                step,
-                rmse(out, fixture),
-                rmse(out, prev[i]),
-                mean_stat(latent),
-                float(latent.data.std()),
-            ))
-            prev[i] = out
-    return DriftReport(row for strategy_rows in rows for row in strategy_rows)
+    for _ in range(steps):
+        editor_mod._apply_edits(sessions)
+    return DriftReport(
+        (s.strategy, step, rmse(out, fixture), rmse(out, prev), *stats)
+        for s in sessions
+        for step, (prev, out, stats) in enumerate(
+            zip([fixture, *s.outputs], s.outputs, s.latent_stats), start=1)
+    )
 
 
 def locality_experiment(

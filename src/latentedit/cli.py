@@ -27,7 +27,7 @@ from . import verify as verify_mod
 from .codec import CodecConfig, _latent_shape
 from .denoiser import EditInstruction, GMMEnergy, GMMPrior
 from .fixtures import fixture_path
-from .grid import LatentGrid, Mask, mean_stat, read_grid, read_mask, write_grid
+from .grid import LatentGrid, Mask, read_grid, read_mask, write_grid
 from .sampler import MASK_MODES, METHODS, DivergenceError, LangevinConfig, SamplerConfig
 from .schedule import build_schedule
 
@@ -60,6 +60,11 @@ def _edit_scale(value, base_dir):
 
 def _nonempty(value, base_dir):
     return None if value else "expected a nonempty list"
+
+
+def _distinct(value, base_dir):  # compares with ==: items are not yet type-checked
+    return _nonempty(value, base_dir) or next(
+        (f"lists {v!r} more than once" for i, v in enumerate(value) if v in value[:i]), None)
 
 
 def _file(value, base_dir):
@@ -124,13 +129,13 @@ _FIELDS = {
     "bench.drift.steps": (int, 16, _at_least(2)),
     "bench.drift.edit_noise": (float, bench_mod.DEFAULT_EDIT_NOISE,
                                lambda v, d: _at_least(0)(v, d) or _edit_scale(v, d)),
-    "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _nonempty),
+    "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _distinct),
     "bench.drift.strategies[]": (str, _REQUIRED, _one_of(editor_mod.STRATEGIES, "strategy")),
     "bench.locality": (dict, {}, None),
     "bench.locality.edit": ("session.edits[]", {"id": "brighten", "bias": 0.6, "scale": 0.08},
                             _no_edit_mask),
     "bench.locality.mask": ((str, type(None)), None, _file),
-    "bench.locality.modes": (list, list(MASK_MODES), None),
+    "bench.locality.modes": (list, list(MASK_MODES), _distinct),
     "bench.locality.modes[]": (str, _REQUIRED, _one_of(MASK_MODES, "mode")),
     "bench.ebm": (dict, {}, None),
     "bench.ebm.chains": (int, 10000, _at_least(1)),
@@ -319,20 +324,15 @@ def cmd_run_session(cfg: dict, built: dict, args, base_dir: str) -> int:
     out = _out_dir(cfg)
 
     log_edits = []
-    for i in range(len(edits)):
+    for i, edit in enumerate(edits, start=1):
         start = time.perf_counter()
         output = editor_mod.apply_edit(session)
         elapsed = time.perf_counter() - start
-        name = f"edit_{i + 1:03d}.grid"
+        name = f"edit_{i:03d}.grid"
         write_grid(output, os.path.join(out, name))
-        entry = {
-            "index": i + 1,
-            "edit_id": edits[i].id,
-            "output_file": name,
-            "renorm_factor": session.f_history[i],
-            "latent_mean": mean_stat(session.prev_latent),
-            "latent_std": float(session.prev_latent.data.std()),
-        }
+        mean, std = session.latent_stats[-1]
+        entry = {"index": i, "edit_id": edit.id, "output_file": name,
+                 "renorm_factor": session.f_history[-1], "latent_mean": mean, "latent_std": std}
         if args.timings:
             entry["duration_s"] = elapsed
         log_edits.append(entry)

@@ -6,7 +6,7 @@ latent_iteration     condition each edit on the previous edit's output latent
                      (renormalized); the image is encoded exactly once.
 image_iteration      re-encode the latest decoded output before each edit.
 concat_instructions  always condition on the original image's latent, with
-                     all edits so far collapsed into one composed operator.
+                     all edits so far as one composed operator, built at open.
 blur_baseline        like image_iteration, but the output image gets one
                      binomial blur pass before re-encoding.
 
@@ -17,6 +17,7 @@ session is reproducible and partially-run sessions continue identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,8 +56,11 @@ class EditSession:
     reuse_init: bool = False
     e: int = 0
     prev_latent: LatentGrid | None = None
+    # one record per applied edit: image, renorm factor, output latent (mean, std)
     outputs: list[LatentGrid] = field(default_factory=list)
     f_history: list[float] = field(default_factory=list)
+    latent_stats: list[tuple[float, float]] = field(default_factory=list)
+    prefixes: list[EditInstruction] = field(default_factory=list)
     original_latent: LatentGrid | None = None
     encode_calls: int = 0
     renorm_roundtrips: int = 0
@@ -89,11 +93,12 @@ def open_session(
             raise ValueError(f"edit {i} gain has {edit.gain.size} channels, latent has {image.c}")
         if isinstance(edit.bias, LatentGrid) and edit.bias.shape != shape:
             raise ValueError(f"edit {i} bias grid is {edit.bias.shape}, latent is {shape}")
-    if strategy == "concat_instructions" and edits:
-        # composing the whole chain builds every prefix the session composes
-        # later, so a chain whose spread, gain or bias overflows fails here
+    prefixes = []
+    if strategy == "concat_instructions":
+        # every prefix the session conditions on; a chain that overflows fails here
+        like = LatentGrid.constant(0.0, *shape)
         try:
-            compose_edits(edits, like=LatentGrid.constant(0.0, *shape))
+            prefixes = list(accumulate(edits, lambda a, b: compose_edits([a, b], like=like)))
         except ValueError as exc:
             raise ValueError(f"the concat_instructions chain does not compose: {exc}") from None
     masks = [None] * len(edits) if masks is None else list(masks)
@@ -112,6 +117,7 @@ def open_session(
         codec_cfg=codec_cfg,
         seed=int(seed),
         reuse_init=reuse_init,
+        prefixes=prefixes,
     )
 
 
@@ -153,9 +159,7 @@ def _conditioning_latent(session: EditSession) -> tuple[LatentGrid, EditInstruct
     if session.original_latent is None:
         session.encode_calls += 1
         session.original_latent = codec_mod.encode(session.original, cfg)
-    z_img = session.original_latent
-    composed = compose_edits(session.edits[: e + 1], like=z_img)
-    return z_img, composed, 1.0
+    return session.original_latent, session.prefixes[e], 1.0
 
 
 def apply_edit(session: EditSession) -> LatentGrid:
@@ -235,14 +239,16 @@ def _apply_edits(sessions) -> list[LatentGrid]:
             members=(len(sessions),),
         )
         latents = [LatentGrid(z) for z in z0]
+        stats = [(mean_stat(latent), float(latent.data.std())) for latent in latents]
         # a finite spread implies a finite mean, which renormalize_latent divides by
-        if not all(np.isfinite(latent.data.std()) for latent in latents):
+        if not all(np.isfinite(std) for _, std in stats):
             raise _NonFiniteGrid("an output latent's mean or spread overflows")
         outs = [codec_mod.decode(latent, s.codec_cfg) for s, latent in zip(sessions, latents)]
-        for session, latent, out, f in zip(sessions, latents, outs, factors):
+        for session, latent, out, f, stat in zip(sessions, latents, outs, factors, stats):
             session.outputs.append(out)
             session.prev_latent = latent
             session.f_history.append(f)
+            session.latent_stats.append(stat)
             session.e += 1
         return outs
     except _NonFiniteGrid:

@@ -582,6 +582,15 @@ class TestConfigValidation:
          r"config\.bench\.ebm\.langevin: steps must be >= 1"),
         ("run-session", {"bench": {"ebm": {"priors": [{**UNIT_PRIOR, "scales": [0.0]}]}}},
          r"config\.bench\.ebm\.priors\[0\]: energy requires strictly positive"),
+        ("bench-drift", {"schedule": {"T": 20}, "bench": {"drift": {
+            "steps": 3, "strategies": ["image_iteration", "image_iteration"]}}},
+         r"^config error: config\.bench\.drift\.strategies: "
+         r"lists 'image_iteration' more than once\n$"),
+        ("bench-locality", {"schedule": {"T": 20}, "bench": {"locality": {"modes": []}}},
+         r"^config error: config\.bench\.locality\.modes: expected a nonempty list\n$"),
+        ("bench-locality", {"schedule": {"T": 20},
+                            "bench": {"locality": {"modes": ["pin", "pin"]}}},
+         r"^config error: config\.bench\.locality\.modes: lists 'pin' more than once\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -592,7 +601,8 @@ class TestConfigValidation:
             "drift-concat-scale-overflows", "oversized-grid-header", "concat-gain-overflows",
             "negative-hidden", "zero-hidden", "negative-embed", "train-codec-levels",
             "session-training-batch-size", "session-training-optimizer", "drift-ebm-weights",
-            "train-langevin-steps", "session-ebm-zero-scale"])
+            "train-langevin-steps", "session-ebm-zero-scale", "drift-strategies-repeated",
+            "locality-modes-empty", "locality-modes-repeated"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")

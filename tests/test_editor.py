@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latentedit import editor as editor_mod
 from latentedit.codec import CodecConfig, encode
-from latentedit.denoiser import EditInstruction
+from latentedit.denoiser import EditInstruction, compose_edits
 from latentedit.editor import (
     RENORM_MEAN_FLOOR,
     STRATEGIES,
@@ -186,6 +187,51 @@ class TestStrategies:
         expected = 0.9 * (1.1 * z0.data + 0.2) - 0.1
         np.testing.assert_allclose(session.prev_latent.data, expected, atol=1e-9)
 
+    def test_concat_prefixes_are_composed_once_at_open(self, sched50, monkeypatch):
+        image = LatentGrid(RngStream(8).normal((8, 8, 3)))
+        like = encode(image, CodecConfig())
+        edits = [
+            EditInstruction(id="a", gain=[1.1, 0.9, 1.0], bias=0.2, target_scale=0.05),
+            EditInstruction(id="b", gain=1.05, bias=LatentGrid(RngStream(9).normal(like.shape)),
+                            target_scale=0.1),
+            EditInstruction(id="c", gain=[0.95, 1.0, 1.05], bias=-0.1, target_scale=0.02),
+            EditInstruction(id="d", gain=0.9, bias=0.05, target_scale=0.0),
+        ]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compose_edits(*args, **kwargs)
+
+        def bits(edit):
+            return (edit.id, edit.gain.tobytes(), isinstance(edit.bias, LatentGrid),
+                    np.asarray(edit._bias_values()).tobytes(),
+                    np.float64(edit.target_scale).tobytes())
+
+        monkeypatch.setattr(editor_mod, "compose_edits", counting)
+        session = open_session(image, edits, sched=sched50, sampler_cfg=SamplerConfig(),
+                               codec_cfg=CodecConfig(), strategy="concat_instructions", seed=3)
+        assert len(calls) == len(edits) - 1
+        assert session.prefixes[0] is edits[0]
+        assert len(session.prefixes) == len(edits)
+        for e, prefix in enumerate(session.prefixes):
+            assert bits(prefix) == bits(compose_edits(edits[: e + 1], like=like))
+        run_all(session)
+        assert len(calls) == len(edits) - 1
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_edit_records_its_latent_mean_and_spread(self, fixture_image, sched50,
+                                                          strategy):
+        session = open_session(fixture_image, [identity(0.1)] * 3, sched=sched50,
+                               sampler_cfg=SamplerConfig(), codec_cfg=CodecConfig(),
+                               strategy=strategy, seed=4)
+        for e in range(1, 4):
+            apply_edit(session)
+            latent = session.prev_latent
+            want = (mean_stat(latent), float(latent.data.std()))
+            assert len(session.latent_stats) == e
+            assert np.array(session.latent_stats[-1]).tobytes() == np.array(want).tobytes()
+
     def test_all_strategies_coincide_on_first_identity_step(self, fixture_image, session_kwargs):
         outs = {}
         for strategy in STRATEGIES:
@@ -272,6 +318,7 @@ def assert_same_state(a, b):
         assert np.array_equal(x.data, y.data)
     assert np.array_equal(a.prev_latent.data, b.prev_latent.data)
     assert a.f_history == b.f_history
+    assert a.latent_stats == b.latent_stats
     assert (a.encode_calls, a.renorm_roundtrips) == (b.encode_calls, b.renorm_roundtrips)
 
 

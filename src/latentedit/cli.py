@@ -169,8 +169,9 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a b
 
 def _is(value, kind) -> bool:
     if kind is float:  # rejects NaN, Infinity and integers too big for a float
-        return (_is(value, int) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+        return _is(value, (int, float)) and abs(value) <= sys.float_info.max
+    return (isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+            and (kind is not int or -(1 << 63) <= value < 1 << 63))  # numpy's int64
 
 
 def _walk(value, field: str, where: str, base_dir: str, overrides: dict):

@@ -38,10 +38,6 @@ class CodecConfig:
         """Width of one quantization cell."""
         return 2.0 * self.clamp / self.levels
 
-    def lattice(self) -> np.ndarray:
-        """The Q midpoint reconstruction values in [-clamp, clamp]."""
-        return -self.clamp + (np.arange(self.levels) + 0.5) * self.cell
-
 
 def blur_grid(g: LatentGrid) -> LatentGrid:
     """One pass of the separable binomial [1,2,1]/4 kernel per channel."""

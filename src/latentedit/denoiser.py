@@ -47,8 +47,8 @@ class GMMPrior:
         shape = self.means[0].shape
         if any(m.shape != shape for m in self.means):
             raise ValueError("all component means must share dimensions")
-        arrays = {"weights": w, "scales": s, "_cdf": np.cumsum(w),
-                  "_mean_mat": np.stack([m.flat() for m in self.means])}
+        arrays = {"weights": w, "scales": s, "_cdf": np.cumsum(w), "_variances": s**2,
+                  "mean_matrix": np.stack([m.flat() for m in self.means])}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -65,10 +65,6 @@ class GMMPrior:
     @property
     def dim(self) -> int:
         return self.means[0].size
-
-    def mean_matrix(self) -> np.ndarray:
-        """Component means stacked as a read-only (K, dim) matrix."""
-        return self._mean_mat
 
     @staticmethod
     def scalar(weights, mus, scales) -> "GMMPrior":
@@ -87,7 +83,7 @@ class GMMPrior:
     def _place(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
         """mu_k + s_k * g, component k by inverse CDF of the uniforms u."""
         comp = np.minimum(np.searchsorted(self._cdf, u, side="right"), self.k - 1)
-        return self._mean_mat[comp] + self.scales[comp, None] * g
+        return self.mean_matrix[comp] + self.scales[comp, None] * g
 
     def sample(self, rng: RngStream) -> LatentGrid:
         h, w, c = self.shape
@@ -108,7 +104,7 @@ class EditInstruction:
     def __post_init__(self) -> None:
         # the gain first: an overflowing gain product also spoils a composed spread
         gain = np.atleast_1d(np.asarray(self.gain, dtype=np.float64))
-        if gain.ndim != 1 or not np.isfinite(gain).all():
+        if gain.ndim != 1 or not gain.size or not np.isfinite(gain).all():
             raise ValueError("gain must be a finite scalar or per-channel vector")
         s = float(self.target_scale)
         if not (s >= 0 and math.isfinite(s * s)):  # the denoiser squares it
@@ -222,8 +218,8 @@ def gmm_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.
     if z.ndim != 2 or z.shape[1] != prior.dim:
         raise ValueError(f"points {z.shape} do not match prior dim {prior.dim}")
     abar = sched.alpha_bar[sched._index(t)]
-    variances = abar * prior.scales**2 + (1.0 - abar)
-    score = _gmm_score_flat(z, np.sqrt(abar) * prior.mean_matrix(), prior.weights, variances)
+    variances = abar * prior._variances + (1.0 - abar)
+    score = _gmm_score_flat(z, np.sqrt(abar) * prior.mean_matrix, prior.weights, variances)
     return -np.sqrt(1.0 - abar) * score
 
 
@@ -274,22 +270,21 @@ def edit_conditional_eps(
 
 
 def _target_eps(
-    z_t: np.ndarray, t: int, mu: np.ndarray, target_scales: tuple, sched: NoiseSchedule
+    z_t: np.ndarray, t: int, mu: np.ndarray, var: np.ndarray, sched: NoiseSchedule
 ) -> np.ndarray:
     """``edit_conditional_eps`` on arrays, for an already computed target mean
-    mu_y and the spreads of its members, one per entry of the leading axis
-    of mu (a single grid is one member)."""
+    mu_y and the squared spreads ``var`` of its members, one per entry of
+    the leading axis of mu (a single grid is one member), shaped to
+    broadcast against mu."""
     if z_t.shape != mu.shape:
         raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
     abar = sched.alpha_bar[sched._index(t)]
-    denom = np.array([abar * s**2 + (1.0 - abar) for s in target_scales])
-    denom = denom.reshape(-1, *(1,) * (mu.ndim - 1))
-    return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / denom
+    return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / (abar * var + (1.0 - abar))
 
 
 def edit_denoiser(edit, z_src, sched: NoiseSchedule):
-    """Denoiser callable conditioned on (z_src, edit); the target mean is
-    computed once, not at every step.
+    """Denoiser callable conditioned on (z_src, edit); the target mean and
+    squared spread are computed once, not at every step.
 
     Given equal-length sequences of edits and source latents instead, it
     predicts for a (k, h, w, c) stack of members, member i conditioned on
@@ -297,13 +292,14 @@ def edit_denoiser(edit, z_src, sched: NoiseSchedule):
     prediction equals its single-member one bit for bit.
     """
     if isinstance(edit, EditInstruction):
-        mu, scale = edit.target_mean(z_src).data, (edit.target_scale,)
+        mu, scale = edit.target_mean(z_src).data, [edit.target_scale]
     else:
         mu = np.stack([e.target_mean(z).data for e, z in zip(edit, z_src, strict=True)])
-        scale = tuple(e.target_scale for e in edit)
+        scale = [e.target_scale for e in edit]
+    var = np.array([s**2 for s in scale], dtype=np.float64).reshape(-1, *(1,) * (mu.ndim - 1))
 
     def predict(z_t: np.ndarray, t: int) -> np.ndarray:
-        return _target_eps(z_t, t, mu, scale, sched)
+        return _target_eps(z_t, t, mu, var, sched)
 
     return predict
 
@@ -357,16 +353,16 @@ class GMMEnergy:
         if (prior.scales <= 0).any():
             raise ValueError("energy requires strictly positive component scales")
         self.prior = prior
-        self._variances = prior.scales**2
 
     def value(self, z: LatentGrid) -> float:
         flat = z.flat()[None, :]
-        diff = flat[:, None, :] - self.prior.mean_matrix()[None, :, :]
+        diff = flat[:, None, :] - self.prior.mean_matrix[None, :, :]
         ssq = np.einsum("mkd,mkd->mk", diff, diff)
+        variances = self.prior._variances
         log_comp = (
             np.log(self.prior.weights)
-            - 0.5 * self.prior.dim * np.log(2.0 * np.pi * self._variances)
-            - ssq[0] / (2.0 * self._variances)
+            - 0.5 * self.prior.dim * np.log(2.0 * np.pi * variances)
+            - ssq[0] / (2.0 * variances)
         )
         peak = log_comp.max()
         return float(-(peak + np.log(np.exp(log_comp - peak).sum())))
@@ -378,6 +374,6 @@ class GMMEnergy:
             raise ValueError("chain gradients require a scalar (1x1x1) prior")
         z = np.asarray(z, dtype=np.float64)
         score = _gmm_score_flat(
-            z.reshape(-1, 1), self.prior.mean_matrix(), self.prior.weights, self._variances
+            z.reshape(-1, 1), self.prior.mean_matrix, self.prior.weights, self.prior._variances
         )
         return -score.reshape(z.shape)

@@ -153,8 +153,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, _key: int | None = None):
-        self.seed = int(seed) & _MASK64
-        self.key = _splitmix64(self.seed) if _key is None else _key
+        self.key = _splitmix64(int(seed) & _MASK64) if _key is None else _key
         self._gen = None
         self.position = 0
 
@@ -164,7 +163,7 @@ class RngStream:
         for p in path:
             part = _fnv1a64(p) if isinstance(p, str) else int(p) & _MASK64
             key = _splitmix64(key ^ _splitmix64(part))
-        return RngStream(self.seed, _key=key)
+        return RngStream(0, _key=key)
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1)."""
@@ -175,12 +174,8 @@ class RngStream:
         return out
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard normal draws via Box-Muller (see ``_box_muller``)."""
-        n = math.prod(shape) if isinstance(shape, tuple) else int(np.prod(shape))
-        z = _box_muller(self.uniform((2 * ((n + 1) // 2),)), n)
-        if shape == ():
-            return z[0]
-        return z.reshape(shape)
+        """Standard normal draws: one row of ``_normal_rows`` (Box-Muller)."""
+        return next(_normal_rows(self, tuple(shape) if np.iterable(shape) else (shape,), 1))
 
 
 def _box_muller(u: np.ndarray, n: int) -> np.ndarray:

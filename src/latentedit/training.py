@@ -22,7 +22,7 @@ PARAM_NAMES = ("W1", "b1", "W2", "b2")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
-def time_embedding(T: int, dim: int) -> np.ndarray:
+def _time_embedding(T: int, dim: int) -> np.ndarray:
     """Fixed sinusoidal table, row t-1 holds the embedding of timestep t."""
     if dim < 1:
         raise ValueError(f"embedding dim must be >= 1, got {dim}")
@@ -67,7 +67,7 @@ class TinyDenoiser:
             b1=np.zeros(hidden),
             W2=rng.normal((d, hidden)) / np.sqrt(hidden),
             b2=np.zeros(d),
-            time_embed=time_embedding(T, embed_dim),
+            time_embed=_time_embedding(T, embed_dim),
         )
 
     def params(self) -> dict[str, np.ndarray]:

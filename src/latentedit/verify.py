@@ -62,7 +62,7 @@ def _check_score_consistency(fault: bool) -> tuple[bool, str]:
     # q_t is the mixture with means sqrt(abar) mu_k and spreads sqrt(abar s_k^2 + 1 - abar)
     noised = GMMEnergy(GMMPrior(
         prior.weights, tuple(LatentGrid(np.sqrt(abar) * m.data) for m in prior.means),
-        np.sqrt(abar * prior.scales**2 + (1.0 - abar))))
+        np.sqrt(abar * prior._variances + (1.0 - abar))))
 
     def log_qt(flat: np.ndarray) -> float:
         return -noised.value(LatentGrid(flat.reshape(prior.shape)))

@@ -465,6 +465,14 @@ class TestVerifyCommand:
         monkeypatch.setattr(sampler, "_reverse", corrupted)
         assert check in {r.name for r in verify.run_checks() if not r.ok}
 
+    def test_a_check_that_raises_is_reported_failed(self, monkeypatch):
+        def crash(fault):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(verify, "CHECKS", (("crash", crash),))
+        assert verify.run_checks() == [
+            verify.CheckResult(name="crash", ok=False, detail="raised ZeroDivisionError: boom")]
+
     def test_invalid_fault_name_rejected(self):
         from latentedit.verify import run_checks
 
@@ -591,6 +599,24 @@ class TestConfigValidation:
         ("bench-locality", {"schedule": {"T": 20},
                             "bench": {"locality": {"modes": ["pin", "pin"]}}},
          r"^config error: config\.bench\.locality\.modes: lists 'pin' more than once\n$"),
+        ("bench-drift", {"bench": {"drift": {"steps": 10**30}}},
+         r"^config error: config\.bench\.drift\.steps: expected an integer\n$"),
+        ("bench-ebm", {"bench": {"ebm": {"chains": 10**30}}},
+         r"^config error: config\.bench\.ebm\.chains: expected an integer\n$"),
+        ("train", {"training": {"prior": UNIT_PRIOR, "hidden": 10**30}},
+         r"^config error: config\.training\.hidden: expected an integer\n$"),
+        ("train", {"bench": {"ebm": {"langevin": {"steps": 10**30}}},
+                   "training": {"prior": UNIT_PRIOR, "steps": 2}},
+         r"^config error: config\.bench\.ebm\.langevin\.steps: expected an integer\n$"),
+        ("run-session", {"schedule": {"T": 10**30}},
+         r"^config error: config\.schedule\.T: expected an integer\n$"),
+        ("run-session", {"seed": 2**63}, r"^config error: config\.seed: expected an integer\n$"),
+        ("run-session", {"session": {"edits": [{"id": "a", "gain": []}]}},
+         r"^config error: config\.session\.edits\[0\]: "
+         r"gain must be a finite scalar or per-channel vector\n$"),
+        ("bench-locality", {"bench": {"locality": {"edit": {"id": "e", "gain": []}}}},
+         r"^config error: config\.bench\.locality\.edit: "
+         r"gain must be a finite scalar or per-channel vector\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -602,7 +628,9 @@ class TestConfigValidation:
             "negative-hidden", "zero-hidden", "negative-embed", "train-codec-levels",
             "session-training-batch-size", "session-training-optimizer", "drift-ebm-weights",
             "train-langevin-steps", "session-ebm-zero-scale", "drift-strategies-repeated",
-            "locality-modes-empty", "locality-modes-repeated"])
+            "locality-modes-empty", "locality-modes-repeated", "drift-steps-beyond-int64",
+            "ebm-chains-beyond-int64", "hidden-beyond-int64", "langevin-steps-beyond-int64",
+            "schedule-T-beyond-int64", "seed-beyond-int64", "empty-gain", "locality-empty-gain"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")
@@ -614,6 +642,12 @@ class TestConfigValidation:
         config = write_config(workspace, cfg)
         assert main([command, config, "--out", str(workspace / cfg["out_dir"])]) == 2
         assert re.search(pattern, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("change", [{"seed": -(2**63)}, {"seed": 2**63 - 1},
+                                        {"codec": {"clamp": 10**30}}],
+                             ids=["seed-int64-min", "seed-int64-max", "float-field-beyond-int64"])
+    def test_integers_at_the_bounds_are_accepted(self, workspace, change):
+        load_config(write_config(workspace, base_config(extra=change)))
 
     def test_flags_before_the_command_are_usage_errors(self, workspace):
         config = write_config(workspace, base_config())

@@ -29,10 +29,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="unsharp"):
             CodecConfig(unsharp=1.0)
 
-    def test_lattice_midpoints(self):
-        cfg = CodecConfig(levels=4, clamp=1.0)
-        np.testing.assert_allclose(cfg.lattice(), [-0.75, -0.25, 0.25, 0.75])
-
 
 class TestEncode:
     def test_constant_on_lattice_point_is_preserved(self, codec_cfg):

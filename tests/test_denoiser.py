@@ -44,7 +44,7 @@ def numerical_log_q_gradient(z: LatentGrid, t, prior, sched, step=1e-4):
     """Central-difference gradient of log q_t, the independent score oracle."""
     abar = sched.alpha_bar[t - 1]
     variances = abar * prior.scales**2 + (1.0 - abar)
-    mean_mat = np.sqrt(abar) * prior.mean_matrix()
+    mean_mat = np.sqrt(abar) * prior.mean_matrix
 
     def log_qt(flat):
         diff = flat[None, :] - mean_mat
@@ -205,11 +205,27 @@ class TestPrior:
     def test_mean_matrix_is_read_only_stack_of_means(self):
         means = tuple(LatentGrid(RngStream(k).normal((2, 3, 2))) for k in range(3))
         prior = GMMPrior(np.array([0.2, 0.3, 0.5]), means, np.array([0.5, 1.0, 1.5]))
-        mat = prior.mean_matrix()
+        mat = prior.mean_matrix
         assert not mat.flags.writeable
         assert np.array_equal(mat, np.stack([m.flat() for m in means]))
         with pytest.raises(ValueError, match="read-only"):
             mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize("weights, n_means, scales, message", [
+        ([0.5, 0.5], 1, [1.0, 1.0], "one entry per component"),
+        ([0.5, 0.5], 2, [1.0], "one entry per component"),
+        ([], 0, [], "at least one component"),
+        ([1.0], 1, [-1.0], "finite and nonnegative"),
+        ([1.0], 1, [np.inf], "finite and nonnegative"),
+    ], ids=["means-count", "scales-count", "no-components", "negative-scale", "inf-scale"])
+    def test_rejects_malformed_tables(self, weights, n_means, scales, message):
+        means = tuple(LatentGrid.constant(0.0, 1, 1, 1) for _ in range(n_means))
+        with pytest.raises(ValueError, match=message):
+            GMMPrior(np.array(weights), means, np.array(scales))
+
+    def test_sample_count_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^sample count must be >= 1, got 0$"):
+            scalar_prior([1.0], [0.0], [1.0]).sample_flat(RngStream(1), 0)
 
     def test_sample_moments(self):
         prior = scalar_prior([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])
@@ -289,6 +305,22 @@ class TestEditConditional:
         got = [predict(z_t.data, t) for t in (50, 7, 1)]
         assert len(calls) == 1
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gain": []}, "gain must be a finite scalar or per-channel vector"),
+        ({"bias": float("inf")}, "bias must be finite"),
+        ({"bias": float("nan")}, "bias must be finite"),
+    ], ids=["empty-gain", "inf-bias", "nan-bias"])
+    def test_rejects_bad_gain_or_bias(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EditInstruction(id="e", **kwargs)
+
+    def test_channel_and_shape_mismatches(self, sched50):
+        with pytest.raises(ValueError, match=r"^gain has 2 channels, grid has 3$"):
+            EditInstruction(id="e", gain=[1.0, 2.0]).gain_for(3)
+        predict = edit_denoiser(EditInstruction(id="e"), LatentGrid.constant(0.0, 2, 2, 1), sched50)
+        with pytest.raises(ValueError, match=r"latent \(2, 2, 2\) does not match source \(2, 2, 1\)"):
+            predict(np.zeros((2, 2, 2)), 1)
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="target_scale"):
@@ -496,6 +528,11 @@ class TestGMMEnergy:
             numeric = (up - down) / (2 * step)
             got = energy.grad_chain(z.data)[0, 0, 0]
             np.testing.assert_allclose(got, numeric, rtol=1e-5)
+
+    def test_chain_gradient_requires_scalar_prior(self):
+        prior = GMMPrior(np.array([1.0]), (LatentGrid.constant(0.0, 2, 1, 1),), np.array([1.0]))
+        with pytest.raises(ValueError, match="scalar"):
+            GMMEnergy(prior).grad_chain(np.zeros(3))
 
     def test_requires_positive_scales(self):
         with pytest.raises(ValueError, match="positive"):

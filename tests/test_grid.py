@@ -62,6 +62,14 @@ class TestMask:
         with pytest.raises(ValueError, match="exactly 0 or 1"):
             Mask(np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("data, message", [
+        (np.ones(3), "must be 2-d"), (np.ones((2, 2, 1)), "must be 2-d"),
+        (np.ones((0, 2)), "dimensions must be positive"),
+    ], ids=["1-d", "3-d", "empty"])
+    def test_rejects_wrong_rank_and_empty(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            Mask(data)
+
     def test_ones_zeros(self):
         assert Mask.ones(3, 3).data.sum() == 9
         assert Mask.zeros(3, 3).data.sum() == 0
@@ -180,6 +188,11 @@ class TestMaskedCombine:
         out = masked_combine(a, b, m)
         assert out.flat().tolist() == [5.0, 9.0]
 
+    def test_grid_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2, 1\) vs \(2, 2, 2\)$"):
+            masked_combine(LatentGrid.constant(0.0, 2, 2, 1), LatentGrid.constant(0.0, 2, 2, 2),
+                           Mask.ones(2, 2))
+
     def test_dimension_mismatch(self, small_grid):
         with pytest.raises(ValueError):
             masked_combine(small_grid, small_grid, Mask.ones(3, 3))
@@ -276,9 +289,10 @@ class TestGridIO:
         (read_grid, b"", "line 1: empty file, expected 'GRID' header"),
         (read_mask, b"MASK 2\n", "line 1: truncated MASK header"),
         (read_grid, b"GRID 2 0 1\n", "line 1: dimensions must be positive, got [2, 0, 1]"),
+        (read_grid, b"GRID 2 x 1\n", "line 1: bad GRID dimension 'x'"),
         (read_mask, b"MASK 1 1\n\xff\n", "not an ASCII grid file ('ascii' codec can't decode "
                                          "byte 0xff in position 9: ordinal not in range(128))"),
-    ], ids=["empty", "truncated-header", "zero-dimension", "not-ascii"])
+    ], ids=["empty", "truncated-header", "zero-dimension", "bad-dimension", "not-ascii"])
     def test_malformed_file_reports_one_error(self, tmp_path, reader, content, message):
         path = tmp_path / "bad.grid"
         path.write_bytes(content)

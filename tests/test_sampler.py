@@ -61,7 +61,7 @@ def reference_chains(chain_denoiser, n, sched, cfg, rng, prior_init):
     abar_T = float(sched.alpha_bar[-1])
     comp = np.minimum(np.searchsorted(np.cumsum(prior_init.weights), comp_u, side="right"),
                       prior_init.k - 1)
-    z0 = prior_init.mean_matrix()[comp, 0] + prior_init.scales[comp] * noise[:, 0]
+    z0 = prior_init.mean_matrix[comp, 0] + prior_init.scales[comp] * noise[:, 0]
     z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[:, 1]
     step_noise = noise[:, 2:]
     for t in range(sched.T, 0, -1):
@@ -241,6 +241,17 @@ class TestMaskedStep:
 
 
 class TestSample:
+    @pytest.mark.parametrize("shape, kwargs, message", [
+        ((0, 2, 1), {}, r"^grid dimensions must be positive, got 0x2x1$"),
+        ((2, 2, 1), {"mask": Mask.ones(3, 2)}, r"^mask 3x2 does not match latent 2x2$"),
+        ((2, 2, 1), {"z_init": LatentGrid.constant(0.0, 2, 2, 2)},
+         r"^dimension mismatch: z_init is \(2, 2, 2\), latent is \(2, 2, 1\)$"),
+    ], ids=["empty-shape", "mask-size", "z-init-shape"])
+    def test_rejects_mismatched_inputs(self, sched50, shape, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            sample(lambda z, t: np.zeros_like(z), shape, sched50, SamplerConfig(), RngStream(0),
+                   **kwargs)
+
     def test_single_step_exact_target(self):
         sched = build_schedule("linear", 1, 0.3, 0.3)
         stream = RngStream(31)
@@ -554,6 +565,10 @@ class TestLangevin:
     def test_noise_scale_validation(self, noise_scale):
         with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
             LangevinConfig(step_size=0.1, noise_scale=noise_scale, steps=2)
+
+    def test_noise_scale_needs_one_entry_or_one_per_step(self):
+        with pytest.raises(ValueError, match=r"^noise_scale needs 1 or 3 entries, got 2$"):
+            LangevinConfig(step_size=0.1, noise_scale=[0.1, 0.2], steps=3)
 
     def test_noise_defaults_to_sqrt_step(self):
         cfg = LangevinConfig(step_size=0.09, steps=10)

@@ -70,6 +70,11 @@ class TestQuery:
         with pytest.raises(ValueError, match="out of range"):
             sched.query(5)
 
+    @pytest.mark.parametrize("t", [-1, 5])
+    def test_alpha_bar_at_rejects_out_of_range(self, t):
+        with pytest.raises(ValueError, match=rf"^timestep {t} out of range \[0, 4\]$"):
+            build_schedule("linear", 4, 0.1, 0.4).alpha_bar_at(t)
+
     def test_alpha_bar_at_zero_is_one(self):
         sched = build_schedule("linear", 4, 0.1, 0.4)
         assert sched.alpha_bar_at(0) == 1.0

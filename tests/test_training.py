@@ -61,7 +61,7 @@ def ref_sample_batch(prior, sched, n, rng):
     cdf = np.cumsum(prior.weights)
     comp = np.minimum(np.searchsorted(cdf, rng.uniform((n,)), side="right"), prior.k - 1)
     g = rng.normal((n, prior.dim))
-    z0 = prior.mean_matrix()[comp] + prior.scales[comp, None] * g
+    z0 = prior.mean_matrix[comp] + prior.scales[comp, None] * g
     t = np.minimum((rng.uniform((n,)) * sched.T).astype(np.int64) + 1, sched.T)
     eps = rng.normal((n, prior.dim))
     return z0, t, eps
@@ -137,6 +137,9 @@ def assert_same_training(model, prior, cfg):
 def grid_forward(model, z: LatentGrid, t: int) -> LatentGrid:
     """The model's prediction at one grid, through ``forward``'s checks."""
     return LatentGrid(forward(model, z.data.reshape(1, -1), np.array([t])).reshape(z.shape))
+
+
+TINY_CFG = TrainConfig(learning_rate=0.1, batch_size=2, steps=1)
 
 
 def zero_model(d=2, T=10, hidden=4, embed=4):
@@ -323,6 +326,22 @@ class TestTrain:
                           SamplerConfig(), RngStream(71), prior_init=prior)
         assert abs(z.mean() - 0.0) < 0.2
         assert abs(z.var() - 4.0625) / 4.0625 < 0.2
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: TinyDenoiser.init(d=1, T=50, embed_dim=0), r"^embedding dim must be >= 1, got 0$"),
+        (lambda s: TrainConfig(learning_rate=0.1, batch_size=1, steps=-1),
+         r"^step count must be >= 0, got -1$"),
+        (lambda s: loss_and_grad(zero_model(d=1, T=50), (np.zeros((2, 1)), np.ones(3, dtype=int),
+                                                         np.zeros((2, 1))), s),
+         r"^batch must be \(z0 \(B,d\), t \(B,\), eps \(B,d\)\)$"),
+        (lambda s: train(zero_model(d=2, T=50), GMMPrior.scalar([1.0], [0.0], [1.0]), s, TINY_CFG),
+         r"^prior dim 1 does not match model dim 2$"),
+        (lambda s: train(zero_model(d=1, T=10), GMMPrior.scalar([1.0], [0.0], [1.0]), s, TINY_CFG),
+         r"^schedule T=50 does not match model T=10$"),
+    ], ids=["embed-dim", "negative-steps", "batch-shape", "prior-dim", "schedule-T"])
+    def test_rejects_inconsistent_inputs(self, sched50, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(sched50)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="batch size"):

@@ -45,9 +45,12 @@ def blur_grid(g: LatentGrid) -> LatentGrid:
 
 
 def _blur(arr: np.ndarray) -> np.ndarray:
-    padded = np.pad(arr, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    # Edges replicated one axis at a time: the vertical pass of a padded edge
+    # column is the edge column of the vertical pass, so np.pad's bits.
+    padded = np.concatenate((arr[:1], arr, arr[-1:]))
     rows = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) / 4.0
-    return (rows[:, :-2] + 2.0 * rows[:, 1:-1] + rows[:, 2:]) / 4.0
+    padded = np.concatenate((rows[:, :1], rows, rows[:, -1:]), axis=1)
+    return (padded[:, :-2] + 2.0 * padded[:, 1:-1] + padded[:, 2:]) / 4.0
 
 
 def _quantize(arr: np.ndarray, cfg: CodecConfig) -> np.ndarray:

@@ -219,8 +219,8 @@ def gmm_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.
         raise ValueError(f"points {z.shape} do not match prior dim {prior.dim}")
     abar = sched.alpha_bar[sched._index(t)]
     variances = abar * prior._variances + (1.0 - abar)
-    score = _gmm_score_flat(z, np.sqrt(abar) * prior.mean_matrix, prior.weights, variances)
-    return -np.sqrt(1.0 - abar) * score
+    score = _gmm_score_flat(z, sched._sqrt_abar[t] * prior.mean_matrix, prior.weights, variances)
+    return -sched._sqrt_1m_abar[t] * score
 
 
 def gmm_chain_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
@@ -269,22 +269,10 @@ def edit_conditional_eps(
     return LatentGrid(edit_denoiser(edit, z_src, sched)(z_t.data, t))
 
 
-def _target_eps(
-    z_t: np.ndarray, t: int, mu: np.ndarray, var: np.ndarray, sched: NoiseSchedule
-) -> np.ndarray:
-    """``edit_conditional_eps`` on arrays, for an already computed target mean
-    mu_y and the squared spreads ``var`` of its members, one per entry of
-    the leading axis of mu (a single grid is one member), shaped to
-    broadcast against mu."""
-    if z_t.shape != mu.shape:
-        raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
-    abar = sched.alpha_bar[sched._index(t)]
-    return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / (abar * var + (1.0 - abar))
-
-
 def edit_denoiser(edit, z_src, sched: NoiseSchedule):
-    """Denoiser callable conditioned on (z_src, edit); the target mean and
-    squared spread are computed once, not at every step.
+    """Denoiser callable conditioned on (z_src, edit); the target mean mu_y and
+    the denominators abar_t s_y^2 + (1 - abar_t) of every t are computed
+    once, not at every step.
 
     Given equal-length sequences of edits and source latents instead, it
     predicts for a (k, h, w, c) stack of members, member i conditioned on
@@ -296,10 +284,16 @@ def edit_denoiser(edit, z_src, sched: NoiseSchedule):
     else:
         mu = np.stack([e.target_mean(z).data for e, z in zip(edit, z_src, strict=True)])
         scale = [e.target_scale for e in edit]
+    # (T, members, 1, ..., 1): one row per t, broadcasting against mu
+    abar = sched.alpha_bar.reshape(-1, *(1,) * mu.ndim)
     var = np.array([s**2 for s in scale], dtype=np.float64).reshape(-1, *(1,) * (mu.ndim - 1))
+    denom = abar * var + (1.0 - abar)
 
     def predict(z_t: np.ndarray, t: int) -> np.ndarray:
-        return _target_eps(z_t, t, mu, var, sched)
+        if z_t.shape != mu.shape:
+            raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
+        i = sched._index(t)
+        return sched._sqrt_1m_abar[t] * (z_t - sched._sqrt_abar[t] * mu) / denom[i]
 
     return predict
 

@@ -119,31 +119,29 @@ def _step(
 
     ``xi`` is the step noise.  Pin mode also takes the source latent ``src``
     and its re-noising draw ``pin_xi``; direction mode takes the
-    reconstruction prediction ``eps_recon``.  Inputs are not checked here.
+    reconstruction prediction ``eps_recon``.  The coefficients are the
+    schedule's per-step rows.  Inputs, t included, are not checked here.
     """
     mode = cfg.mask_mode if md is not None else None
     if mode == "gate":
         eps_hat = md * eps_hat
     elif mode == "direction":
         eps_hat = eps_recon + md * (eps_hat - eps_recon)
-    beta, alpha, abar, sigma = sched.query(t)
-    scale = sigma
+    i = t - 1  # step t's row; _sqrt_abar and _sqrt_1m_abar are indexed by t itself
+    scale = sched.sigma[i]
     if cfg.method == "ddpm_literal":
         out = z - eps_hat
     elif cfg.method == "ddpm_full":
-        out = (z - (beta / np.sqrt(1.0 - abar)) * eps_hat) / np.sqrt(alpha)
+        out = (z - sched._full_eps[i] * eps_hat) / sched._sqrt_alpha[i]
     else:  # euler_ancestral; SamplerConfig admits no other method
-        abar_prev = sched.alpha_bar_at(t - 1)
-        x0_hat = (z - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
-        var_t = (1.0 - abar_prev) / (1.0 - abar) * beta
-        out = np.sqrt(abar_prev) * x0_hat + np.sqrt(max(0.0, 1.0 - abar_prev - var_t)) * eps_hat
-        scale = np.sqrt(var_t)
+        x0_hat = (z - sched._sqrt_1m_abar[t] * eps_hat) / sched._sqrt_abar[t]
+        out = sched._sqrt_abar[t - 1] * x0_hat + sched._euler_eps[i] * eps_hat
+        scale = sched._euler_sigma[i]
     if cfg.add_final_noise or t > 1:
         out = out + scale * xi
     if mode == "pin":
         # noise_to(src, t - 1, pin_xi), then masked_combine(out, frozen, mask)
-        abar = sched.alpha_bar_at(t - 1)
-        frozen = np.sqrt(abar) * src + np.sqrt(1.0 - abar) * pin_xi
+        frozen = sched._sqrt_abar[t - 1] * src + sched._sqrt_1m_abar[t - 1] * pin_xi
         out = md * out + (1.0 - md) * frozen
     return out
 
@@ -164,6 +162,7 @@ def reverse_step(
 ) -> LatentGrid:
     """One reverse update in the configured form; consumes one noise grid."""
     _check_shapes(z_t.shape, eps_hat=eps_hat)
+    sched._index(t)  # _step reads its rows unchecked
     xi = rng.normal(z_t.shape)
     return LatentGrid(_step(z_t.data, t, eps_hat.data, xi, sched, cfg))
 
@@ -190,6 +189,7 @@ def masked_reverse_step(
     src = z_src.data if cfg.mask_mode == "pin" else None
     recon = eps_recon.data if cfg.mask_mode == "direction" else None
     _check_shapes(z_t.shape, eps_hat=eps_hat, z_src=src, eps_recon=recon)
+    sched._index(t)
     xi = rng.normal(z_t.shape)
     pin_xi = (pin_rng or rng).normal(z_t.shape) if src is not None else None
     md = mask.data[:, :, None]
@@ -335,9 +335,8 @@ def sample_chains(
         hi = lo + len(u)
         comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
         noise[:, lo:hi] = _box_muller(u[:, 1:], draws).T
-    abar_T = float(sched.alpha_bar[-1])
     z0 = prior_init._place(comp_u, noise[0][:, None])[:, 0]
-    z = np.sqrt(abar_T) * z0 + np.sqrt(1.0 - abar_T) * noise[1]
+    z = sched._sqrt_abar[-1] * z0 + sched._sqrt_1m_abar[-1] * noise[1]
     return _reverse(chain_denoiser, z, iter(noise[2:]), sched, cfg)
 
 

@@ -1,7 +1,10 @@
 """Diffusion variance schedules and their per-timestep lookup tables.
 
 Timesteps are 1-indexed: index t in {1..T} addresses the t-th noising step,
-and t = 0 denotes clean data (never stored in the tables).
+and t = 0 denotes clean data (never stored in the public tables).  The
+reverse step's per-t coefficients are private per-schedule rows, built once
+by the same elementwise IEEE operations a per-step scalar recipe applies, so
+they give the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ class NoiseSchedule:
     """Per-timestep variance tables, all derived from the 1-d array ``beta``,
     each entry in [0, 1): alpha = 1 - beta, the running product alpha_bar,
     and sigma = sqrt(beta).  Array index i holds timestep t = i + 1.
-    Immutable after construction."""
+    Immutable after construction.
+
+    Private rows: ``_sqrt_abar`` and ``_sqrt_1m_abar`` hold sqrt(abar_t) and
+    sqrt(1 - abar_t) at index t = 0..T (abar_0 = 1); the others hold step t
+    at index t - 1: ddpm_full's beta_t / sqrt(1 - abar_t) and sqrt(alpha_t),
+    euler_ancestral's sqrt(max(0, 1 - abar_{t-1} - v_t)) and sqrt(v_t), with
+    v_t = (1 - abar_{t-1}) / (1 - abar_t) * beta_t.  Where abar_t = 1 these
+    divide by zero (inf or NaN), so both methods diverge at that step."""
 
     T: int = field(init=False)
     beta: np.ndarray
@@ -37,8 +47,17 @@ class NoiseSchedule:
         if bad.size:
             raise ValueError(f"beta[{bad[0]}] must be finite and in [0, 1), got {beta[bad[0]]}")
         alpha = 1.0 - beta
-        tables = {"beta": beta, "alpha": alpha, "alpha_bar": np.cumprod(alpha),
-                  "sigma": np.sqrt(beta)}
+        alpha_bar = np.cumprod(alpha)
+        abar = np.concatenate(([1.0], alpha_bar))  # abar_t at index t, abar_0 = 1
+        sqrt_1m_abar = np.sqrt(1.0 - abar)
+        with np.errstate(divide="ignore", invalid="ignore"):  # where abar_t = 1
+            full_eps = beta / sqrt_1m_abar[1:]
+            var = (1.0 - abar[:-1]) / (1.0 - abar[1:]) * beta
+        tables = {"beta": beta, "alpha": alpha, "alpha_bar": alpha_bar, "sigma": np.sqrt(beta),
+                  "_sqrt_abar": np.sqrt(abar), "_sqrt_1m_abar": sqrt_1m_abar,
+                  "_full_eps": full_eps, "_sqrt_alpha": np.sqrt(alpha),
+                  "_euler_eps": np.sqrt(np.maximum(0.0, 1.0 - abar[:-1] - var)),  # keeps NaN
+                  "_euler_sigma": np.sqrt(var)}
         for name, arr in tables.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from latentedit.codec import CodecConfig, blur_grid, decode, encode
+from latentedit.codec import CodecConfig, _blur, blur_grid, decode, encode
 from latentedit.fixtures import load_fixture, structured_fixture
 from latentedit.grid import LatentGrid, RngStream, rmse
 
@@ -133,7 +135,38 @@ class TestRoundtripDrift:
         )
 
 
+def pad_blur(arr):
+    """The binomial blur over an ``np.pad(mode="edge")`` array: the oracle
+    for ``_blur``, which replicates the edges one axis at a time."""
+    padded = np.pad(arr, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    rows = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) / 4.0
+    return (rows[:, :-2] + 2.0 * rows[:, 1:-1] + rows[:, 2:]) / 4.0
+
+
+BLUR_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+
+
 class TestBlurGrid:
+    @given(
+        h=st.integers(1, 40), w=st.integers(1, 40), c=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1), magnitude=st.sampled_from([1.0, 1e-310, 1e300]),
+        specials=st.lists(st.tuples(st.integers(0, 4799), st.sampled_from(BLUR_SPECIALS)),
+                          max_size=40),
+    )
+    @example(h=1, w=1, c=3, seed=0, magnitude=1.0, specials=[(0, -0.0), (2, 1e308)])
+    @example(h=1, w=7, c=1, seed=1, magnitude=1e300, specials=[(0, 1e308), (1, 1e308)])
+    @example(h=9, w=1, c=2, seed=2, magnitude=1e-310, specials=[(3, -5e-324), (4, -0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_blur_equals_pad_recipe(self, h, w, c, seed, magnitude, specials):
+        arr = magnitude * RngStream(seed).normal((h, w, c))
+        for i, value in specials:
+            arr.flat[i % arr.size] = value
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 + 2e308 is inf, inf - inf NaN
+            got, want = _blur(arr), pad_blur(arr)
+        assert got.shape == want.shape == arr.shape
+        assert got.tobytes() == want.tobytes()
+
+
     def test_preserves_constants(self):
         g = LatentGrid.constant(1.7, 5, 5, 2)
         np.testing.assert_allclose(blur_grid(g).data, g.data, rtol=1e-12)

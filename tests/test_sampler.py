@@ -1,6 +1,7 @@
 """Forward noising, reverse stepping, masking modes, and Langevin iteration."""
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -90,6 +91,60 @@ def reference_sample(denoiser, shape, sched, cfg, rng, mask=None, z_src=None,
             stepped = masked_combine(stepped, frozen, mask)
         z = stepped
     return z
+
+
+def scalar_step(z, t, eps_hat, xi, sched, cfg, md=None, src=None, pin_xi=None, eps_recon=None):
+    """``_step`` as a per-call scalar recipe: ``sched.query``, ``alpha_bar_at``
+    and scalar ``np.sqrt`` at every step.  An oracle independent of the
+    schedule's coefficient rows, which ``_step`` reads."""
+    mode = cfg.mask_mode if md is not None else None
+    if mode == "gate":
+        eps_hat = md * eps_hat
+    elif mode == "direction":
+        eps_hat = eps_recon + md * (eps_hat - eps_recon)
+    beta, alpha, abar, sigma = sched.query(t)
+    scale = sigma
+    if cfg.method == "ddpm_literal":
+        out = z - eps_hat
+    elif cfg.method == "ddpm_full":
+        out = (z - (beta / np.sqrt(1.0 - abar)) * eps_hat) / np.sqrt(alpha)
+    else:
+        abar_prev = sched.alpha_bar_at(t - 1)
+        x0_hat = (z - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
+        var_t = (1.0 - abar_prev) / (1.0 - abar) * beta
+        out = np.sqrt(abar_prev) * x0_hat + np.sqrt(max(0.0, 1.0 - abar_prev - var_t)) * eps_hat
+        scale = np.sqrt(var_t)
+    if cfg.add_final_noise or t > 1:
+        out = out + scale * xi
+    if mode == "pin":
+        abar = sched.alpha_bar_at(t - 1)
+        frozen = np.sqrt(abar) * src + np.sqrt(1.0 - abar) * pin_xi
+        out = md * out + (1.0 - md) * frozen
+    return out
+
+
+def scalar_target_eps(z_t, t, mu, scales, sched):
+    """The edit denoiser's prediction as a per-call scalar recipe, for target
+    means ``mu`` (a member axis first when ``scales`` has one per member)."""
+    var = np.array([s**2 for s in scales], dtype=np.float64).reshape(-1, *(1,) * (mu.ndim - 1))
+    abar = sched.alpha_bar[sched._index(t)]
+    return np.sqrt(1.0 - abar) * (z_t - np.sqrt(abar) * mu) / (abar * var + (1.0 - abar))
+
+
+# Schedules for the oracle: linear, cosine, and explicit betas with interior
+# zeros and betas near 1.  The first beta is positive, so abar_t < 1 for
+# every t >= 1 and the scalar recipe divides by no zero.
+ORACLE_SCHEDULES = st.one_of(
+    st.builds(lambda T, b0, b1: build_schedule("linear", T, b0, b1),
+              st.integers(1, 60), st.floats(1e-6, 0.02), st.floats(0.02, 0.5)),
+    st.builds(lambda T: build_schedule("cosine", T), st.integers(1, 60)),
+    st.builds(
+        lambda first, rest: manual_schedule([first, *rest]),
+        st.floats(1e-6, 1.0, exclude_max=True),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 0.5),
+                           st.floats(0.999, 1.0, exclude_max=True)), max_size=20),
+    ),
+)
 
 
 def random_mask(h, w, seed):
@@ -184,6 +239,82 @@ class TestReverseStep:
         with_noise = reverse_step(z, 1, eps, sched200,
                                   SamplerConfig(add_final_noise=True), StubRng(5.0))
         assert base.data[0, 0, 0] != with_noise.data[0, 0, 0]
+
+
+class TestStepOracle:
+    @given(
+        sched=ORACLE_SCHEDULES,
+        when=st.sampled_from(["first", "mid", "last"]),
+        k=st.integers(0, 3),  # 0: one grid without a member axis
+        h=st.integers(1, 4), w=st.integers(1, 4), c=st.integers(1, 2),
+        seed=st.integers(0, 2**64 - 1),
+        method=st.sampled_from(["ddpm_full", "ddpm_literal", "euler_ancestral"]),
+        mode=st.sampled_from([None, "gate", "pin", "direction"]),
+        add_final_noise=st.booleans(),
+        scales=st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+    )
+    @example(sched=manual_schedule([0.5, 0.0, 0.0, 0.9999999999999999]), when="last", k=2,
+             h=2, w=3, c=1, seed=0, method="euler_ancestral", mode="pin", add_final_noise=False,
+             scales=[0.0, 0.1, 2.0])
+    @example(sched=manual_schedule([0.9999999999999999] * 24), when="last", k=1, h=1, w=1, c=1,
+             seed=1, method="euler_ancestral", mode=None, add_final_noise=True,
+             scales=[0.5, 0.0, 0.0])  # abar underflows to 0 by t = 21
+    @settings(max_examples=150, deadline=None)
+    def test_step_and_edit_denoiser_equal_scalar_recipe(self, sched, when, k, h, w, c, seed,
+                                                         method, mode, add_final_noise, scales):
+        t = {"first": 1, "mid": (sched.T + 1) // 2, "last": sched.T}[when]
+        shape = (h, w, c)
+        stream = RngStream(seed)
+        members = (k,) if k else ()
+        z, eps_hat, eps_recon, src = (stream.spawn(name).normal(members + shape)
+                                      for name in ("z", "eps", "recon", "src"))
+        xi, pin_xi = (stream.spawn(name).normal(shape) for name in ("xi", "pin"))
+        md = stream.spawn("mask").uniform((h, w, 1)) if mode else None
+        cfg = SamplerConfig(method=method, mask_mode=mode or "pin",
+                            add_final_noise=add_final_noise)
+        args = (z, t, eps_hat, xi, sched, cfg, md, src, pin_xi, eps_recon)
+        with np.errstate(all="ignore"):  # betas near 1 overflow x0_hat once abar underflows
+            got, want = _step(*args), scalar_step(*args)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+        z_srcs = [LatentGrid(row) for row in stream.spawn("zsrc").normal((max(k, 1),) + shape)]
+        edits = [EditInstruction(id=str(i), gain=1.1 - 0.2 * i, bias=0.3 * i, target_scale=s)
+                 for i, s in enumerate(scales[:max(k, 1)])]
+        if k:
+            mu = np.stack([e.target_mean(g).data for e, g in zip(edits, z_srcs)])
+            predict = edit_denoiser(edits, z_srcs, sched)
+        else:
+            mu = edits[0].target_mean(z_srcs[0]).data
+            predict = edit_denoiser(edits[0], z_srcs[0], sched)
+        got = predict(z, t)
+        want = scalar_target_eps(z, t, mu, [e.target_scale for e in edits], sched)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method, diverges", [
+        ("ddpm_full", True), ("ddpm_literal", False), ("euler_ancestral", True),
+    ])
+    def test_leading_zero_beta(self, method, diverges):
+        # abar_1 = 1: ddpm_full's beta / sqrt(1 - abar) and euler's v_1 are 0 / 0
+        sched = manual_schedule([0.0, 0.1, 0.2])
+        run = partial(sample, lambda z, t: np.zeros_like(z), (2, 2, 1), sched,
+                      SamplerConfig(method=method), RngStream(0))
+        if diverges:
+            with pytest.raises(DivergenceError, match="non-finite within T=3"):
+                run()
+        else:
+            assert np.isfinite(run().data).all()
+
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_single_steps_reject_out_of_range_timesteps(self, t):
+        sched = manual_schedule([0.1, 0.2, 0.3, 0.4])
+        z = LatentGrid.constant(0.5, 2, 2, 1)
+        cfg = SamplerConfig()
+        with pytest.raises(ValueError, match=rf"^timestep {t} out of range \[1, 4\]$"):
+            reverse_step(z, t, z, sched, cfg, RngStream(0))
+        with pytest.raises(ValueError, match=rf"^timestep {t} out of range \[1, 4\]$"):
+            masked_reverse_step(z, t, z, Mask.ones(2, 2), z, sched, cfg, RngStream(0))
 
 
 class TestMaskedStep:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentedit.schedule import NoiseSchedule, build_schedule
@@ -116,6 +116,8 @@ class TestFromBetas:
         st.builds(lambda T: build_schedule("cosine", T).beta, st.integers(1, 400)),
         st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50).map(np.array),
     ))
+    @example(np.array([0.0]))  # abar_1 = 1: two rows divide zero by zero, without a warning
+    @example(np.array([0.0, 0.0, 0.3, 0.0, 0.9999999999999999]))
     @settings(max_examples=60, deadline=None)
     def test_tables_are_derived_from_beta(self, b):
         sched = NoiseSchedule(beta=b)
@@ -124,6 +126,23 @@ class TestFromBetas:
                            ("alpha_bar", np.cumprod(1.0 - b)), ("sigma", np.sqrt(b))):
             got = getattr(sched, name)
             assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes(), name
+            assert not got.flags.writeable, name
+        # each coefficient row against its scalar expression, one timestep at a time
+        abar = [np.float64(sched.alpha_bar_at(t)) for t in range(sched.T + 1)]
+        rows = {"_sqrt_abar": [np.sqrt(a) for a in abar],
+                "_sqrt_1m_abar": [np.sqrt(1.0 - a) for a in abar],
+                "_full_eps": [], "_sqrt_alpha": [], "_euler_eps": [], "_euler_sigma": []}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(1, sched.T + 1):
+                beta, alpha, _, _ = sched.query(t)
+                var = (1.0 - abar[t - 1]) / (1.0 - abar[t]) * beta
+                rows["_full_eps"].append(beta / np.sqrt(1.0 - abar[t]))
+                rows["_sqrt_alpha"].append(np.sqrt(alpha))
+                rows["_euler_eps"].append(np.sqrt(np.maximum(0.0, 1.0 - abar[t - 1] - var)))
+                rows["_euler_sigma"].append(np.sqrt(var))
+        for name, want in rows.items():
+            got = getattr(sched, name)
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), name
             assert not got.flags.writeable, name
 
     @pytest.mark.parametrize("beta", [np.float64(0.1), np.full((2, 3), 0.1), np.empty(0)],

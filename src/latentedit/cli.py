@@ -46,8 +46,16 @@ def _one_of(choices, noun: str | None = None):
     return check
 
 
-def _at_least(low: int):
-    return lambda value, base_dir: None if value >= low else f"must be >= {low}, got {value}"
+def _within(low, high=None):
+    """A number in [low, high]; a bound of None is left to the constructor
+    that owns the value.  A size's upper bound keeps the array or the loop
+    that size makes within reach."""
+    def check(value, base_dir):
+        if low is not None and value < low:
+            return f"must be >= {low}, got {value}"
+        if high is not None and value > high:
+            return f"must be <= {high}, got {value}"
+    return check
 
 
 def _edit_scale(value, base_dir):
@@ -126,9 +134,9 @@ _FIELDS = {
     "bench": (dict, {}, None),
     "bench.fixture": (str, "shipped", lambda v, base_dir: v != "shipped" and _file(v, base_dir)),
     "bench.drift": (dict, {}, None),
-    "bench.drift.steps": (int, 16, _at_least(2)),
+    "bench.drift.steps": (int, 16, _within(2, 1_000)),
     "bench.drift.edit_noise": (float, bench_mod.DEFAULT_EDIT_NOISE,
-                               lambda v, d: _at_least(0)(v, d) or _edit_scale(v, d)),
+                               lambda v, d: _within(0)(v, d) or _edit_scale(v, d)),
     "bench.drift.strategies": (list, list(editor_mod.STRATEGIES), _distinct),
     "bench.drift.strategies[]": (str, _REQUIRED, _one_of(editor_mod.STRATEGIES, "strategy")),
     "bench.locality": (dict, {}, None),
@@ -138,7 +146,7 @@ _FIELDS = {
     "bench.locality.modes": (list, list(MASK_MODES), _distinct),
     "bench.locality.modes[]": (str, _REQUIRED, _one_of(MASK_MODES, "mode")),
     "bench.ebm": (dict, {}, None),
-    "bench.ebm.chains": (int, 10000, _at_least(1)),
+    "bench.ebm.chains": (int, 10000, _within(1, 100_000)),
     "bench.ebm.priors": (list, [_PRIOR_SINGLE, _PRIOR_BIMODAL], _nonempty),
     "bench.ebm.priors[]": (dict, _REQUIRED, None),
     "bench.ebm.priors[].label": (str, None, None),
@@ -152,14 +160,14 @@ _FIELDS = {
     "bench.ebm.langevin.step_size": (float, 0.05, None),
     "bench.ebm.langevin.noise_scale": ((float, list), None, None),
     "bench.ebm.langevin.noise_scale[]": (float, _REQUIRED, None),
-    "bench.ebm.langevin.steps": (int, 2000, None),
+    "bench.ebm.langevin.steps": (int, 2000, _within(None, 1_000_000)),
     "training": (dict, None, None),
     "training.prior": ("bench.ebm.priors[]", _REQUIRED, None),
-    "training.hidden": (int, None, _at_least(1)),
-    "training.embed": (int, None, _at_least(1)),
+    "training.hidden": (int, None, _within(1, 1024)),
+    "training.embed": (int, None, _within(1, 1024)),
     "training.learning_rate": (float, 0.004, None),
-    "training.batch_size": (int, 128, None),
-    "training.steps": (int, 20000, None),
+    "training.batch_size": (int, 128, _within(None, 16_384)),
+    "training.steps": (int, 20000, _within(None, 1_000_000)),
     "training.optimizer": (str, "adam", None),
 }
 

@@ -293,7 +293,11 @@ def edit_denoiser(edit, z_src, sched: NoiseSchedule):
         if z_t.shape != mu.shape:
             raise ValueError(f"latent {z_t.shape} does not match source {mu.shape}")
         i = sched._index(t)
-        return sched._sqrt_1m_abar[t] * (z_t - sched._sqrt_abar[t] * mu) / denom[i]
+        # sqrt(1 - abar) * (z_t - sqrt(abar) * mu) / denom, in the one array returned
+        eps = np.multiply(sched._entries["_sqrt_abar"][t], mu)
+        np.subtract(z_t, eps, out=eps)
+        np.multiply(sched._entries["_sqrt_1m_abar"][t], eps, out=eps)
+        return np.divide(eps, denom[i], out=eps)
 
     return predict
 

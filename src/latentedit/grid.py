@@ -174,8 +174,10 @@ class RngStream:
         return out
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard normal draws: one row of ``_normal_rows`` (Box-Muller)."""
-        return next(_normal_rows(self, tuple(shape) if np.iterable(shape) else (shape,), 1))
+        """Standard normal draws: one row of the blocks ``_normal_rows`` draws
+        (Box-Muller over one ``uniform((1, 2 * ceil(n / 2)))`` row)."""
+        shape = tuple(shape) if np.iterable(shape) else (shape,)
+        return _shaped_normals(self.uniform((1, 2 * ((math.prod(shape) + 1) // 2))), shape)[0]
 
 
 def _box_muller(u: np.ndarray, n: int) -> np.ndarray:

@@ -113,6 +113,7 @@ def _step(
     src: np.ndarray | None = None,
     pin_xi: np.ndarray | None = None,
     eps_recon: np.ndarray | None = None,
+    bufs: tuple | None = None,
 ) -> np.ndarray:
     """One reverse update on raw arrays of any shape, with the mask ``md``
     (h x w x 1, 1 = editable; None for no mask) enforced per ``cfg.mask_mode``.
@@ -120,30 +121,56 @@ def _step(
     ``xi`` is the step noise.  Pin mode also takes the source latent ``src``
     and its re-noising draw ``pin_xi``; direction mode takes the
     reconstruction prediction ``eps_recon``.  The coefficients are the
-    schedule's per-step rows.  Inputs, t included, are not checked here.
+    schedule's per-step entries.  Every intermediate is written with ufunc
+    ``out=`` into ``bufs`` (``_buffers``), and the update is returned in
+    ``bufs[0]``, which must alias no input; given no ``bufs``, the step
+    allocates them.  Inputs, t included, are not checked here.
     """
+    out, eps, tmp, keep = bufs if bufs is not None else _buffers(z, eps_hat, md, cfg)
+    c = sched._entries
     mode = cfg.mask_mode if md is not None else None
     if mode == "gate":
-        eps_hat = md * eps_hat
+        eps_hat = np.multiply(md, eps_hat, out=eps)
     elif mode == "direction":
-        eps_hat = eps_recon + md * (eps_hat - eps_recon)
+        # eps_recon + md * (eps_hat - eps_recon)
+        np.subtract(eps_hat, eps_recon, out=eps)
+        np.multiply(md, eps, out=eps)
+        eps_hat = np.add(eps_recon, eps, out=eps)
     i = t - 1  # step t's row; _sqrt_abar and _sqrt_1m_abar are indexed by t itself
-    scale = sched.sigma[i]
+    scale = c["sigma"][i]
     if cfg.method == "ddpm_literal":
-        out = z - eps_hat
+        np.subtract(z, eps_hat, out=out)
     elif cfg.method == "ddpm_full":
-        out = (z - sched._full_eps[i] * eps_hat) / sched._sqrt_alpha[i]
+        np.multiply(c["_full_eps"][i], eps_hat, out=out)
+        np.subtract(z, out, out=out)
+        np.divide(out, c["_sqrt_alpha"][i], out=out)
     else:  # euler_ancestral; SamplerConfig admits no other method
-        x0_hat = (z - sched._sqrt_1m_abar[t] * eps_hat) / sched._sqrt_abar[t]
-        out = sched._sqrt_abar[t - 1] * x0_hat + sched._euler_eps[i] * eps_hat
-        scale = sched._euler_sigma[i]
+        # x0_hat = (z - sqrt(1 - abar_t) * eps_hat) / sqrt(abar_t), then
+        # sqrt(abar_{t-1}) * x0_hat + _euler_eps * eps_hat
+        np.multiply(c["_sqrt_1m_abar"][t], eps_hat, out=out)
+        np.subtract(z, out, out=out)
+        np.divide(out, c["_sqrt_abar"][t], out=out)
+        np.multiply(c["_sqrt_abar"][t - 1], out, out=out)
+        np.add(out, np.multiply(c["_euler_eps"][i], eps_hat, out=tmp), out=out)
+        scale = c["_euler_sigma"][i]
     if cfg.add_final_noise or t > 1:
-        out = out + scale * xi
+        np.add(out, np.multiply(scale, xi, out=tmp), out=out)
     if mode == "pin":
         # noise_to(src, t - 1, pin_xi), then masked_combine(out, frozen, mask)
-        frozen = sched._sqrt_abar[t - 1] * src + sched._sqrt_1m_abar[t - 1] * pin_xi
-        out = md * out + (1.0 - md) * frozen
+        frozen = np.multiply(c["_sqrt_abar"][t - 1], src, out=eps)
+        np.add(frozen, np.multiply(c["_sqrt_1m_abar"][t - 1], pin_xi, out=tmp), out=frozen)
+        np.multiply(md, out, out=out)
+        np.add(out, np.multiply(keep, frozen, out=frozen), out=out)
     return out
+
+
+def _buffers(z: np.ndarray, eps_hat: np.ndarray, md: np.ndarray | None,
+             cfg: SamplerConfig) -> tuple:
+    """``_step``'s arrays: the output, two scratch arrays of its shape, and pin
+    mode's 1 - md (None in the other modes and without a mask)."""
+    shape = np.broadcast_shapes(z.shape, eps_hat.shape)
+    keep = 1.0 - md if md is not None and cfg.mask_mode == "pin" else None
+    return np.empty(shape), np.empty(shape), np.empty(shape), keep
 
 
 def _check_shapes(shape: tuple, **grids) -> None:
@@ -218,7 +245,10 @@ def _reverse(denoiser, z, noise, sched, cfg, md=None, src=None, pin_noise=None, 
 
     ``noise`` (and ``pin_noise`` in pin mode) yields one draw per step,
     already shaped to broadcast against z; ``recon`` is the direction-mode
-    reconstruction denoiser.
+    reconstruction denoiser.  The loop owns its arrays: the first step
+    allocates two state buffers and ``_step``'s scratch, and each step writes
+    into the state buffer that does not hold z, so no step allocates and no
+    update aliases z, or a prediction that is z itself.
     """
     direction = md is not None and cfg.mask_mode == "direction"
     # overflow on the way to a non-finite state is reported by DivergenceError
@@ -227,7 +257,11 @@ def _reverse(denoiser, z, noise, sched, cfg, md=None, src=None, pin_noise=None, 
             eps_hat = _predict(denoiser, z, t)
             eps_recon = _predict(recon, z, t) if direction else None
             pin_xi = next(pin_noise) if pin_noise is not None else None
-            z = _step(z, t, eps_hat, next(noise), sched, cfg, md, src, pin_xi, eps_recon)
+            if t == sched.T:
+                bufs = _buffers(z, eps_hat, md, cfg)
+                spare = np.empty_like(bufs[0])
+            z = _step(z, t, eps_hat, next(noise), sched, cfg, md, src, pin_xi, eps_recon, bufs)
+            bufs, spare = (spare, *bufs[1:]), z
     # reductions, not isfinite(z).all(): no temporary the size of z
     if not (np.isfinite(z.max()) and np.isfinite(z.min())):
         raise DivergenceError(f"sampled latent became non-finite within T={sched.T} reverse steps")

@@ -31,7 +31,10 @@ class NoiseSchedule:
     at index t - 1: ddpm_full's beta_t / sqrt(1 - abar_t) and sqrt(alpha_t),
     euler_ancestral's sqrt(max(0, 1 - abar_{t-1} - v_t)) and sqrt(v_t), with
     v_t = (1 - abar_{t-1}) / (1 - abar_t) * beta_t.  Where abar_t = 1 these
-    divide by zero (inf or NaN), so both methods diverge at that step."""
+    divide by zero (inf or NaN), so both methods diverge at that step.
+    ``_entries[name][i]`` is ``name[i]`` (for ``sigma`` and these rows) as a
+    read-only 0-d view, the operand form the reverse step and the edit
+    denoiser read."""
 
     T: int = field(init=False)
     beta: np.ndarray
@@ -61,6 +64,13 @@ class NoiseSchedule:
         for name, arr in tables.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # The reverse step's rows again as tuples of 0-d views, one per entry:
+        # a ufunc takes a 0-d array operand faster than the float64 scalar that
+        # indexing a row returns, and the view holds the same value.
+        object.__setattr__(self, "_entries", {
+            name: tuple(tables[name][i, ...] for i in range(tables[name].size))
+            for name in ("sigma", "_sqrt_abar", "_sqrt_1m_abar", "_full_eps", "_sqrt_alpha",
+                         "_euler_eps", "_euler_sigma")})
         object.__setattr__(self, "T", beta.size)
 
     def _index(self, t: int) -> int:
@@ -108,6 +118,11 @@ def build_schedule(
                 f"linear schedule requires 0 < beta_start <= beta_end < 1, "
                 f"got ({beta_start}, {beta_end})"
             )
+        # 1 - beta_start rounding to 1 gives abar_1 = 1, where ddpm_full and
+        # euler_ancestral divide by zero
+        if 1.0 - beta_start == 1.0:
+            raise ValueError(f"linear schedule requires 1 - beta_start < 1 in float64, "
+                             f"got beta_start={beta_start}")
         beta = np.linspace(beta_start, beta_end, T)
     elif kind == "cosine":
         steps = np.arange(T + 1, dtype=np.float64)

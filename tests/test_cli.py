@@ -62,6 +62,25 @@ def base_config(out_dir="out", edits=None, extra=None):
     return cfg
 
 
+# Each size field's upper bound in cli._FIELDS
+SIZE_BOUNDS = {
+    "training.hidden": 1024, "training.embed": 1024, "training.batch_size": 16384,
+    "training.steps": 1000000, "bench.ebm.chains": 100000,
+    "bench.ebm.langevin.steps": 1000000, "bench.drift.steps": 1000,
+}
+
+
+def config_with(path, value):
+    """``base_config`` with a training block and ``value`` at the dotted ``path``."""
+    cfg = base_config(extra={"training": {"prior": UNIT_PRIOR}})
+    *parents, leaf = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return cfg
+
+
 class TestRunSession:
     def test_writes_grids_and_log(self, workspace):
         out = str(workspace / "out")
@@ -617,6 +636,13 @@ class TestConfigValidation:
         ("bench-locality", {"bench": {"locality": {"edit": {"id": "e", "gain": []}}}},
          r"^config error: config\.bench\.locality\.edit: "
          r"gain must be a finite scalar or per-channel vector\n$"),
+        ("train", {"training": {"prior": UNIT_PRIOR, "hidden": 2**62}},
+         r"^config error: config\.training\.hidden: must be <= 1024, got 4611686018427387904\n$"),
+        ("bench-ebm", {"bench": {"ebm": {"chains": 2**62}}},
+         r"^config error: config\.bench\.ebm\.chains: must be <= 100000, "
+         r"got 4611686018427387904\n$"),
+        ("run-session", {"schedule": {"T": 50, "beta_start": 1e-17}},
+         r"^config error: config\.schedule: .*beta_start=1e-17\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -630,7 +656,8 @@ class TestConfigValidation:
             "train-langevin-steps", "session-ebm-zero-scale", "drift-strategies-repeated",
             "locality-modes-empty", "locality-modes-repeated", "drift-steps-beyond-int64",
             "ebm-chains-beyond-int64", "hidden-beyond-int64", "langevin-steps-beyond-int64",
-            "schedule-T-beyond-int64", "seed-beyond-int64", "empty-gain", "locality-empty-gain"])
+            "schedule-T-beyond-int64", "seed-beyond-int64", "empty-gain", "locality-empty-gain",
+            "hidden-over-bound", "ebm-chains-over-bound", "schedule-first-alpha-is-one"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")
@@ -648,6 +675,15 @@ class TestConfigValidation:
                              ids=["seed-int64-min", "seed-int64-max", "float-field-beyond-int64"])
     def test_integers_at_the_bounds_are_accepted(self, workspace, change):
         load_config(write_config(workspace, base_config(extra=change)))
+
+    # Oversized values are only loaded, never run: each would allocate or loop at that size
+    @pytest.mark.parametrize("path, bound", SIZE_BOUNDS.items(), ids=list(SIZE_BOUNDS))
+    def test_size_fields_have_upper_bounds(self, workspace, path, bound):
+        load_config(write_config(workspace, config_with(path, bound)))
+        for value in (bound + 1, 2**62):
+            with pytest.raises(ConfigError, match=rf"^config\.{re.escape(path)}: "
+                                                  rf"must be <= {bound}, got {value}$"):
+                load_config(write_config(workspace, config_with(path, value)))
 
     def test_flags_before_the_command_are_usage_errors(self, workspace):
         config = write_config(workspace, base_config())

@@ -30,6 +30,8 @@ from latentedit.sampler import (
     reverse_step,
     sample,
     _CHAIN_BLOCK,
+    _buffers,
+    _sample,
     _step,
     sample_chains,
 )
@@ -315,6 +317,114 @@ class TestStepOracle:
             reverse_step(z, t, z, sched, cfg, RngStream(0))
         with pytest.raises(ValueError, match=rf"^timestep {t} out of range \[1, 4\]$"):
             masked_reverse_step(z, t, z, Mask.ones(2, 2), z, sched, cfg, RngStream(0))
+
+
+def aliasing_denoiser(kind):
+    """A denoiser that returns its input z itself, or a read-only view of a fresh array."""
+    if kind == "input":
+        return lambda z, t: z
+
+    def read_only_view(z, t):
+        eps = 0.5 * z + 0.01 * t
+        eps.setflags(write=False)
+        return eps.view()
+
+    return read_only_view
+
+
+class TestBufferedLoop:
+    """The reverse loop steps in buffers it owns: the same bits as the per-step
+    reference, whatever the denoiser returns, and no result shares memory."""
+
+    @given(
+        h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 2),
+        T=st.integers(1, 30), k=st.integers(1, 3), seed=st.integers(0, 2**64 - 1),
+        method=st.sampled_from(["ddpm_full", "ddpm_literal", "euler_ancestral"]),
+        mode=st.sampled_from([None, "gate", "pin", "direction"]),
+        add_final_noise=st.booleans(), with_init=st.booleans(),
+    )
+    @example(h=12, w=12, c=2, T=30, k=3, seed=6, method="euler_ancestral", mode="pin",
+             add_final_noise=True, with_init=False)
+    @settings(max_examples=30, deadline=None)
+    def test_sample_and_members_equal_per_step_reference(self, h, w, c, T, k, seed, method,
+                                                         mode, add_final_noise, with_init):
+        sched = build_schedule("linear", T, 1e-3, 0.2)
+        shape = (h, w, c)
+        stream = RngStream(seed)
+        z_srcs = [LatentGrid(row) for row in stream.spawn("src").normal((k,) + shape)]
+        z_init = LatentGrid(stream.spawn("init").normal(shape)) if with_init else None
+        edits = [EditInstruction(id=str(i), gain=1.1 - 0.2 * i, bias=0.3 * i, target_scale=0.2)
+                 for i in range(k)]
+        recons = [EditInstruction(id="r", target_scale=0.2)] * k
+        mask = random_mask(h, w, seed) if mode else None
+        cfg = SamplerConfig(method=method, mask_mode=mode or "pin",
+                            add_final_noise=add_final_noise)
+        expected = [
+            reference_sample(edit_denoiser(e, z, sched), shape, sched, cfg, RngStream(seed),
+                             mask=mask, z_src=z, recon_denoiser=edit_denoiser(r, z, sched),
+                             z_init=z_init).data
+            for e, z, r in zip(edits, z_srcs, recons)
+        ]
+        got = sample(edit_denoiser(edits[0], z_srcs[0], sched), shape, sched, cfg,
+                     RngStream(seed), mask=mask, z_src=z_srcs[0],
+                     recon_denoiser=edit_denoiser(recons[0], z_srcs[0], sched), z_init=z_init)
+        assert got.data.tobytes() == expected[0].tobytes()
+        members = _sample(
+            edit_denoiser(edits, z_srcs, sched), shape, sched, cfg, RngStream(seed),
+            md=mask.data[:, :, None] if mask is not None else None,
+            src=np.stack([z.data for z in z_srcs]) if mask is not None else None,
+            recon=edit_denoiser(recons, z_srcs, sched),
+            z_init=z_init.data if z_init is not None else None, members=(k,))
+        assert members.shape == (k,) + shape
+        for row, want in zip(members, expected):
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["input", "read-only-view"])
+    @pytest.mark.parametrize("mode", [None, "gate", "pin", "direction"])
+    @pytest.mark.parametrize("method", ["ddpm_full", "ddpm_literal", "euler_ancestral"])
+    def test_aliasing_denoisers_equal_reference(self, method, mode, kind):
+        sched = build_schedule("linear", 9, 1e-3, 0.2)
+        shape = (4, 3, 2)
+        z_src = LatentGrid(RngStream(5).spawn("src").normal(shape))
+        cfg = SamplerConfig(method=method, mask_mode=mode or "pin")
+        kwargs = dict(mask=random_mask(4, 3, 5) if mode else None, z_src=z_src,
+                      recon_denoiser=aliasing_denoiser(kind))
+        got = sample(aliasing_denoiser(kind), shape, sched, cfg, RngStream(6), **kwargs)
+        expected = reference_sample(aliasing_denoiser(kind), shape, sched, cfg, RngStream(6),
+                                    **kwargs)
+        assert got.data.tobytes() == expected.data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["input", "read-only-view"])
+    def test_aliasing_chain_denoisers_equal_reference(self, kind):
+        sched = build_schedule("linear", 9, 1e-3, 0.2)
+        args = (aliasing_denoiser(kind), 7, sched, SamplerConfig(), RngStream(8))
+        assert (sample_chains(*args, prior_init=UNIT_ENERGY.prior).tobytes()
+                == reference_chains(*args, prior_init=UNIT_ENERGY.prior).tobytes())
+
+    @pytest.mark.parametrize("mode", [None, "gate", "pin", "direction"])
+    @pytest.mark.parametrize("method", ["ddpm_full", "ddpm_literal", "euler_ancestral"])
+    def test_step_writes_into_the_given_buffers(self, method, mode):
+        sched = build_schedule("linear", 6, 1e-3, 0.2)
+        stream = RngStream(9)
+        z, eps_hat, eps_recon, src = (stream.spawn(name).normal((2, 3, 4, 1))
+                                      for name in ("z", "eps", "recon", "src"))
+        xi, pin_xi = (stream.spawn(name).normal((3, 4, 1)) for name in ("xi", "pin"))
+        md = random_mask(3, 4, 9).data[:, :, None] if mode else None
+        cfg = SamplerConfig(method=method, mask_mode=mode or "pin")
+        args = (z, 4, eps_hat, xi, sched, cfg, md, src, pin_xi, eps_recon)
+        bufs = _buffers(z, eps_hat, md, cfg)
+        got = _step(*args, bufs)
+        assert got is bufs[0]
+        assert got.tobytes() == _step(*args).tobytes() == scalar_step(*args).tobytes()
+
+    def test_successive_results_share_no_memory(self, sched50):
+        z_src = LatentGrid(RngStream(10).normal((3, 3, 1)))
+        denoiser = edit_denoiser(EditInstruction(id="e", bias=0.2, target_scale=0.1), z_src,
+                                 sched50)
+        first = _sample(denoiser, (3, 3, 1), sched50, SamplerConfig(), RngStream(11))
+        second = _sample(denoiser, (3, 3, 1), sched50, SamplerConfig(), RngStream(11))
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
 
 
 class TestMaskedStep:

@@ -28,6 +28,14 @@ class TestLinearSchedule:
             build_schedule("linear", 10, 0.6, 0.5)
         with pytest.raises(ValueError, match="beta_start"):
             build_schedule("linear", 10, 0.1, 1.0)
+        for tiny in (1e-17, 2.0**-54):  # 1 - beta_start rounds to 1: abar_1 would be 1
+            with pytest.raises(ValueError, match="beta_start"):
+                build_schedule("linear", 50, tiny, 0.02)
+
+    def test_smallest_first_beta_below_one_alpha_is_accepted(self):
+        beta_start = float(np.nextafter(2.0**-54, 1.0))  # 1 - beta_start rounds down
+        sched = build_schedule("linear", 50, beta_start, 0.02)
+        assert sched.beta[0] == beta_start and sched.alpha[0] < 1.0
 
     def test_t_validation(self):
         with pytest.raises(ValueError, match="positive integer"):
@@ -144,6 +152,17 @@ class TestFromBetas:
             got = getattr(sched, name)
             assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), name
             assert not got.flags.writeable, name
+
+    @pytest.mark.parametrize("b", [build_schedule("linear", 7, 1e-3, 0.2).beta,
+                                   np.array([0.0, 0.3, 0.9999999999999999])])
+    def test_entries_are_read_only_0d_views_of_the_rows(self, b):
+        sched = NoiseSchedule(beta=b)
+        for name, entries in sched._entries.items():
+            row = getattr(sched, name)
+            assert len(entries) == row.size, name
+            for i, entry in enumerate(entries):
+                assert entry.shape == () and not entry.flags.writeable, name
+                assert np.shares_memory(entry, row) and entry.tobytes() == row[i].tobytes(), name
 
     @pytest.mark.parametrize("beta", [np.float64(0.1), np.full((2, 3), 0.1), np.empty(0)],
                              ids=["0-d", "2-d", "empty"])

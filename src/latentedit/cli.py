@@ -85,6 +85,13 @@ def _one_bias(value, base_dir):
         return "give either bias or bias_file, not both"
 
 
+def _cosine_betas(value, base_dir):
+    if value.get("kind") == "cosine":
+        for key in ("beta_start", "beta_end"):
+            if key in value:
+                return (key, "a cosine schedule does not read it; give it only with kind linear")
+
+
 def _no_edit_mask(value, base_dir):
     if "mask" in value:
         return ("mask", "the locality bench does not read an edit mask; "
@@ -104,9 +111,9 @@ _FIELDS = {
     "": (dict, _REQUIRED, None),
     "seed": (int, _REQUIRED, None),
     "out_dir": (str, None, None),
-    "schedule": (dict, {}, None),
+    "schedule": (dict, {}, _cosine_betas),
     "schedule.kind": (str, "linear", None),
-    "schedule.T": (int, 200, None),
+    "schedule.T": (int, 200, _within(None, 1_000)),
     "schedule.beta_start": (float, None, None),
     "schedule.beta_end": (float, None, None),
     "sampler": (dict, {}, None),

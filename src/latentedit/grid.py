@@ -193,21 +193,26 @@ def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
 
 
 _NORMAL_BLOCK = 1 << 14  # uniforms per block draw; bounds _uniform_rows' scratch memory
+# uniforms per block a pool transforms: each hand-over to a worker costs the
+# caller GIL switches, so a pooled block holds more rows (3 at ebm's 10k
+# Langevin chains), and still 1 at a 128x128x3 session latent
+_POOL_BLOCK = 1 << 15
 _AHEAD = 2  # blocks whose Box-Muller a pool may compute before their rows are taken
-# per-row draws at which Box-Muller moves to worker threads; below it the
-# pool was measured no faster (10k Langevin chains) or slower (324 values)
-_POOL_MIN_VALUES = 1 << 15
+# per-row draws at which Box-Muller moves to worker threads; ebm's 10k
+# Langevin chains measured faster pooled, drift's 324 values slower
+_POOL_MIN_VALUES = 1 << 13
 
 
-def _uniform_rows(rng: RngStream, width: int, count: int):
+def _uniform_rows(rng: RngStream, width: int, count: int, block: int | None = None):
     """Yield ``rng``'s next ``count * width`` uniforms as (b, width) blocks,
-    b as large as ``_NORMAL_BLOCK`` uniforms allow and at least 1.
+    b as large as ``block`` (default ``_NORMAL_BLOCK``) uniforms allow and at
+    least 1.
 
     ``Generator.random`` consumes its stream in order, so row j of the
     blocks holds what the j-th of ``count`` successive ``uniform((width,))``
     calls would draw.
     """
-    rows = max(1, _NORMAL_BLOCK // max(2, width))  # width 0: an empty Langevin state
+    rows = max(1, (block or _NORMAL_BLOCK) // max(2, width))  # width 0: an empty Langevin state
     for lo in range(0, count, rows):
         yield rng.uniform((min(rows, count - lo), width))
 
@@ -219,13 +224,15 @@ def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
     Each row of a ``_uniform_rows`` block holds one call's
     2 * ceil(n / 2) uniforms, n the number of values in ``shape``.
 
-    With an executor ``pool``, each block's ``_box_muller`` (a pure function
-    of its uniforms) is submitted to it, at most ``_AHEAD`` blocks ahead of
-    the block being yielded, so the transform runs while the caller works
-    on earlier rows.  The uniforms are still drawn on the calling thread, in
+    With an executor ``pool``, blocks of up to ``_POOL_BLOCK`` uniforms are
+    drawn, and each block's ``_box_muller`` (a pure function of its
+    uniforms) is submitted to it, at most ``_AHEAD`` blocks ahead of the
+    block being yielded, so the transform runs while the caller works on
+    earlier rows.  The uniforms are still drawn on the calling thread, in
     stream order, and a worker's exception re-raises here.
     """
-    blocks = _uniform_rows(rng, 2 * ((math.prod(shape) + 1) // 2), count)
+    blocks = _uniform_rows(rng, 2 * ((math.prod(shape) + 1) // 2), count,
+                           _POOL_BLOCK if pool is not None else None)
     if pool is None:
         for u in blocks:
             yield from _shaped_normals(u, shape)

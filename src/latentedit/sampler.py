@@ -384,14 +384,16 @@ def langevin_chains(
     on a state array of any shape (a grid's values, or independent chains).
 
     ``grad_chain`` maps the state array to a same-shaped energy gradient.
-    The step noise comes from ``grid._normal_rows``, drawn on the calling
-    thread and bit-identical to one ``rng.normal(init.shape)`` per step.  A
-    non-finite state raises DivergenceError naming the step.
+    The step noise comes from ``grid._normal_rows``, bit-identical to one
+    ``rng.normal(init.shape)`` per step, with the same 2-thread pool as
+    ``sample`` (``grid._noise_pool``) when the state holds at least
+    ``grid._POOL_MIN_VALUES`` values.  A non-finite state raises
+    DivergenceError naming the step; the pool is closed first.
     """
     z = np.asarray(init, dtype=np.float64).copy()
     # overflow on the way to a non-finite state is reported by DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        noise = _normal_rows(rng, z.shape, cfg.steps)
+    with np.errstate(over="ignore", invalid="ignore"), _noise_pool(z.size) as pool:
+        noise = _normal_rows(rng, z.shape, cfg.steps, pool)
         for i in range(cfg.steps):
             z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * next(noise)
             if not np.isfinite(z).all():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import GMMPrior, _diffusion_batches
+from .denoiser import GMMPrior, _diffusion_batches, _noised
 from .grid import RngStream, _write_block
 from .sampler import DivergenceError
 from .schedule import NoiseSchedule
@@ -121,8 +121,7 @@ def loss_and_grad(
     if z0.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     B, d = z0.shape
-    abar = sched.alpha_bar[t - 1][:, None]
-    z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
+    z_t = _noised(z0, t, eps, sched)
 
     x = np.concatenate([z_t, model.time_embed[t - 1]], axis=1)  # (B, d+E)
     pre = x @ model.W1.T + model.b1                              # (B, H)
@@ -134,11 +133,11 @@ def loss_and_grad(
 
     d_pred = 2.0 * resid / (B * d)                               # dL/dpred
     g_W2 = d_pred.T @ hidden
-    g_b2 = d_pred.sum(axis=0)
+    g_b2 = np.add.reduce(d_pred, axis=0)  # .sum(axis=0) minus its wrapper
     d_hidden = d_pred @ model.W2
     d_pre = d_hidden * (1.0 - hidden**2)
     g_W1 = d_pre.T @ x
-    g_b1 = d_pre.sum(axis=0)
+    g_b1 = np.add.reduce(d_pre, axis=0)
     return loss, {"W1": g_W1, "b1": g_b1, "W2": g_W2, "b2": g_b2}
 
 
@@ -161,7 +160,7 @@ def train(
                         model.time_embed.copy())
     rng = RngStream(cfg.seed).spawn("train")
     trace = np.empty(cfg.steps)
-    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    m, v, num, den = (np.zeros_like(flat) for _ in range(4))
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     batches = _diffusion_batches(prior, sched, cfg.batch_size, rng, cfg.steps)
     # overflow on the way to a non-finite loss is reported by DivergenceError
@@ -175,10 +174,16 @@ def train(
             if cfg.optimizer == "sgd":
                 flat -= cfg.learning_rate * g
             else:
+                # lr * (m / (1 - b1**k)) / (sqrt(v / (1 - b2**k)) + eps), in place
                 k = step + 1
-                m = b1 * m + (1 - b1) * g
-                v = b2 * v + (1 - b2) * g**2
-                flat -= cfg.learning_rate * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + _ADAM_EPS)
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g**2
+                np.multiply(cfg.learning_rate, np.divide(m, 1 - b1**k, out=num), out=num)
+                np.sqrt(np.divide(v, 1 - b2**k, out=den), out=den)
+                den += _ADAM_EPS
+                flat -= np.divide(num, den, out=num)
     # a loss is checked before each update, so only the last update can go unseen
     if not np.isfinite(flat).all():
         raise DivergenceError(f"training parameters became non-finite at step {cfg.steps}")

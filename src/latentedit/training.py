@@ -160,7 +160,7 @@ def train(
                         model.time_embed.copy())
     rng = RngStream(cfg.seed).spawn("train")
     trace = np.empty(cfg.steps)
-    m, v, num, den = (np.zeros_like(flat) for _ in range(4))
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     batches = _diffusion_batches(prior, sched, cfg.batch_size, rng, cfg.steps)
     # overflow on the way to a non-finite loss is reported by DivergenceError
@@ -174,16 +174,10 @@ def train(
             if cfg.optimizer == "sgd":
                 flat -= cfg.learning_rate * g
             else:
-                # lr * (m / (1 - b1**k)) / (sqrt(v / (1 - b2**k)) + eps), in place
                 k = step + 1
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * g**2
-                np.multiply(cfg.learning_rate, np.divide(m, 1 - b1**k, out=num), out=num)
-                np.sqrt(np.divide(v, 1 - b2**k, out=den), out=den)
-                den += _ADAM_EPS
-                flat -= np.divide(num, den, out=num)
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g**2
+                flat -= cfg.learning_rate * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + _ADAM_EPS)
     # a loss is checked before each update, so only the last update can go unseen
     if not np.isfinite(flat).all():
         raise DivergenceError(f"training parameters became non-finite at step {cfg.steps}")

@@ -330,7 +330,7 @@ def _publish(report, out: str, name: str, args) -> int:
     return 0 if all(ok for _, ok, _ in claims) else 1
 
 
-def cmd_run_session(cfg: dict, built: dict, args, base_dir: str) -> int:
+def _cmd_run_session(cfg: dict, built: dict, args, base_dir: str) -> int:
     block = _needed(cfg, "session", "needed by run-session")
     image = _at("config.session.input", read_grid, os.path.join(base_dir, block["input"]))
     edits, masks = zip(*(_edit(e, f"config.session.edits[{i}]", base_dir)
@@ -360,7 +360,7 @@ def cmd_run_session(cfg: dict, built: dict, args, base_dir: str) -> int:
     return 0
 
 
-def cmd_bench_drift(cfg: dict, built: dict, args, base_dir: str) -> int:
+def _cmd_bench_drift(cfg: dict, built: dict, args, base_dir: str) -> int:
     drift, core = cfg["bench"]["drift"], built["core"]
     fixture = _bench_fixture(cfg, base_dir, core)
     # open_session composes a concat_instructions chain, so one that overflows fails here
@@ -376,7 +376,7 @@ def cmd_bench_drift(cfg: dict, built: dict, args, base_dir: str) -> int:
     return _publish(report, out, "drift", args)
 
 
-def cmd_bench_locality(cfg: dict, built: dict, args, base_dir: str) -> int:
+def _cmd_bench_locality(cfg: dict, built: dict, args, base_dir: str) -> int:
     loc, core = cfg["bench"]["locality"], built["core"]
     fixture = _bench_fixture(cfg, base_dir, core)
     edit, _ = _edit(loc["edit"], "config.bench.locality.edit", base_dir)
@@ -394,7 +394,7 @@ def cmd_bench_locality(cfg: dict, built: dict, args, base_dir: str) -> int:
     return _publish(report, out, "locality", args)
 
 
-def cmd_bench_ebm(cfg: dict, built: dict, args, base_dir: str) -> int:
+def _cmd_bench_ebm(cfg: dict, built: dict, args, base_dir: str) -> int:
     core = built["core"]
     out = _out_dir(cfg)
     report = bench_mod.EbmReport([bench_mod.ebm_equivalence_experiment(
@@ -408,7 +408,7 @@ class _LossTrace(bench_mod.Report):
     columns = ("step", "loss")
 
 
-def cmd_train(cfg: dict, built: dict, args, base_dir: str) -> int:
+def _cmd_train(cfg: dict, built: dict, args, base_dir: str) -> int:
     block = _needed(cfg, "training", "needed by train")
     sched = built["core"]["sched"]
     prior, train_cfg = built["training"]
@@ -428,7 +428,7 @@ def cmd_train(cfg: dict, built: dict, args, base_dir: str) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _cmd_verify(args) -> int:
     results = verify_mod.run_checks()
     if args.json:
         print(json.dumps([dataclasses.asdict(r) for r in results], indent=2, sort_keys=True,
@@ -453,16 +453,16 @@ _FLAGS = {
 
 _EDITING = ("--seed", "--out", "--T", "--method")
 _COMMANDS = {
-    "run-session": (cmd_run_session, (*_EDITING, "--mask-mode", "--timings")),
-    "bench-drift": (cmd_bench_drift, (*_EDITING, "--json")),
-    "bench-locality": (cmd_bench_locality, (*_EDITING, "--json")),
-    "bench-ebm": (cmd_bench_ebm, (*_EDITING, "--json")),
-    "train": (cmd_train, ("--seed", "--out", "--T")),
-    "verify": (cmd_verify, ("--json",)),
+    "run-session": (_cmd_run_session, (*_EDITING, "--mask-mode", "--timings")),
+    "bench-drift": (_cmd_bench_drift, (*_EDITING, "--json")),
+    "bench-locality": (_cmd_bench_locality, (*_EDITING, "--json")),
+    "bench-ebm": (_cmd_bench_ebm, (*_EDITING, "--json")),
+    "train": (_cmd_train, ("--seed", "--out", "--T")),
+    "verify": (_cmd_verify, ("--json",)),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latentedit", description="Iterative multi-granular latent editing engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command][0]
     if args.command == "verify":
         return command(args)

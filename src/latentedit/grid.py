@@ -148,8 +148,8 @@ class RngStream:
     recipes, so the same seed yields the same sequence on every platform
     (up to the platform's transcendental functions; see the README).  Each
     ``normal`` call consumes ``2 * ceil(n / 2)`` uniforms.  The numpy
-    generator is built on the first draw, so a stream used only for its
-    ``key`` costs no generator.
+    generator is built on the first draw, at ``position``, so a stream used
+    only for its ``key`` costs no generator.
     """
 
     def __init__(self, seed: int, _key: int | None = None):
@@ -168,7 +168,7 @@ class RngStream:
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1)."""
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=self.key))
+            self._gen = _philox_at(self.key, self.position)
         out = self._gen.random(size=shape)
         self.position += int(np.size(out))
         return out
@@ -195,29 +195,43 @@ def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
 # uniforms per block draw; bounds _uniform_rows' scratch memory.  drift's
 # inline 324-value steps measured 4-8% slower at 2^15
 _NORMAL_BLOCK = 1 << 14
-# uniforms per block a pool transforms: each hand-over to a worker costs the
+# uniforms per block a pool's worker draws: each hand-over to a worker costs the
 # caller GIL switches, so a pooled block holds more rows (3 at ebm's 10k
 # Langevin chains, which measured about 10% faster than at 2^14), and still
 # 1 at a 128x128x3 session latent
 _POOL_BLOCK = 1 << 15
-_AHEAD = 2  # blocks whose Box-Muller a pool may compute before their rows are taken
-# per-row draws at which Box-Muller moves to worker threads; ebm's 10k
+_AHEAD = 2  # blocks a pool may draw before their rows are taken
+# per-row draws at which the noise moves to worker threads; ebm's 10k
 # Langevin chains measured faster pooled, drift's 324 values slower
 _POOL_MIN_VALUES = 1 << 13
 
 
-def _uniform_rows(rng: RngStream, width: int, count: int, block: int | None = None):
+def _philox_at(key: int, position: int) -> np.random.Generator:
+    """A generator whose next draw is uniform number ``position`` of the
+    stream keyed ``key``.  Philox is counter-based: each counter value gives
+    4 doubles, and the generator steps its counter before it draws."""
+    gen = np.random.Generator(np.random.Philox(key=key, counter=position // 4))
+    gen.random(position % 4)
+    return gen
+
+
+def _uniform_rows(rng: RngStream, width: int, count: int):
     """Yield ``rng``'s next ``count * width`` uniforms as (b, width) blocks,
-    b as large as ``block`` (default ``_NORMAL_BLOCK``) uniforms allow and at
-    least 1.
+    b as large as ``_NORMAL_BLOCK`` uniforms allow and at least 1.
 
     ``Generator.random`` consumes its stream in order, so row j of the
     blocks holds what the j-th of ``count`` successive ``uniform((width,))``
     calls would draw.
     """
-    rows = max(1, (block or _NORMAL_BLOCK) // max(2, width))  # width 0: an empty Langevin state
+    rows = max(1, _NORMAL_BLOCK // max(2, width))  # width 0: an empty Langevin state
     for lo in range(0, count, rows):
         yield rng.uniform((min(rows, count - lo), width))
+
+
+def _normal_block(key: int, position: int, rows: int, width: int, shape: tuple) -> np.ndarray:
+    """``_shaped_normals`` of the (rows, width) uniforms at ``position`` of
+    the stream keyed ``key``; a pure function, so a worker can run it."""
+    return _shaped_normals(_philox_at(key, position).random((rows, width)), shape)
 
 
 def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
@@ -227,22 +241,26 @@ def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
     Each row of a ``_uniform_rows`` block holds one call's
     2 * ceil(n / 2) uniforms, n the number of values in ``shape``.
 
-    With an executor ``pool``, blocks of up to ``_POOL_BLOCK`` uniforms are
-    drawn, and each block's ``_box_muller`` (a pure function of its
-    uniforms) is submitted to it, at most ``_AHEAD`` blocks ahead of the
-    block being yielded, so the transform runs while the caller works on
-    earlier rows.  The uniforms are still drawn on the calling thread, in
-    stream order, and a worker's exception re-raises here.
+    With an executor ``pool``, the rows come in blocks of up to
+    ``_POOL_BLOCK`` uniforms, and each block is a ``_normal_block`` task
+    submitted to it, at most ``_AHEAD`` blocks ahead of the block being
+    yielded, so a worker draws the block's uniforms from a Philox at the
+    block's counter and transforms them while the caller works on earlier
+    rows.  The caller only advances ``rng.position`` past each block it
+    submits; a worker's exception re-raises here.
     """
-    blocks = _uniform_rows(rng, 2 * ((math.prod(shape) + 1) // 2), count,
-                           _POOL_BLOCK if pool is not None else None)
+    width = 2 * ((math.prod(shape) + 1) // 2)
     if pool is None:
-        for u in blocks:
+        for u in _uniform_rows(rng, width, count):
             yield from _shaped_normals(u, shape)
         return
+    rows = max(1, _POOL_BLOCK // max(2, width))
     pending = collections.deque()
-    for u in blocks:
-        pending.append(pool.submit(_shaped_normals, u, shape))
+    for lo in range(0, count, rows):
+        b = min(rows, count - lo)
+        pending.append(pool.submit(_normal_block, rng.key, rng.position, b, width, shape))
+        rng.position += b * width
+        rng._gen = None  # the next uniform() call starts at the new position
         if len(pending) > _AHEAD:
             yield from pending.popleft().result()
     while pending:
@@ -266,7 +284,7 @@ def _noise_pool(n: int):
     """A 2-thread pool for ``_normal_rows`` when each step draws at least
     ``_POOL_MIN_VALUES`` normals and a second CPU is usable, else None.
 
-    Leaving the block waits for the transforms still pending (at most
+    Leaving the block waits for the noise blocks still pending (at most
     ``_AHEAD`` per stream) and joins the threads, so none outlives the
     caller, on return or on raise.
     """

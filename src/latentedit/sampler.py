@@ -289,10 +289,10 @@ def sample(
     is drawn a block of steps at a time (``grid._normal_rows``), bit-identical
     to one ``normal`` call per step.  When a step draws at least
     ``grid._POOL_MIN_VALUES`` normals and a second CPU is usable, both streams
-    share one 2-thread pool that computes the Box-Muller transform of the
-    next blocks while the loop steps; the uniforms are still drawn on the
-    calling thread, and the pool is closed before ``sample`` returns or
-    raises.  The inputs are checked once, on entry; a run whose z_0 is
+    share one 2-thread pool that draws the next blocks while the loop steps:
+    each worker draws its block's uniforms from a Philox at the block's
+    counter and transforms them, and the pool is closed before ``sample``
+    returns or raises.  The inputs are checked once, on entry; a run whose z_0 is
     non-finite raises DivergenceError.
     """
     h, w, c = shape
@@ -386,7 +386,8 @@ def langevin_chains(
     ``grad_chain`` maps the state array to a same-shaped energy gradient.
     The step noise comes from ``grid._normal_rows``, bit-identical to one
     ``rng.normal(init.shape)`` per step, with the same 2-thread pool as
-    ``sample`` (``grid._noise_pool``) when the state holds at least
+    ``sample`` (``grid._noise_pool``: a worker draws each block from a Philox
+    at the block's counter) when the state holds at least
     ``grid._POOL_MIN_VALUES`` values.  A non-finite state raises
     DivergenceError naming the step; the pool is closed first.
     """

@@ -18,7 +18,9 @@ from latentedit.grid import (
     _NORMAL_BLOCK,
     _POOL_MIN_VALUES,
     _keyed_uniforms,
+    _normal_block,
     _normal_rows,
+    _shaped_normals,
     masked_combine,
     mean_stat,
     read_grid,
@@ -104,28 +106,45 @@ class TestRngStream:
         assert np.array_equal(RngStream(7).normal(3), RngStream(7).normal((3,)))
 
     @given(n=st.integers(0, 700), count=st.integers(0, 60), seed=st.integers(0, 2**64 - 1),
-           pooled=st.booleans())
-    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=False)
-    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=True)
-    @example(n=_NORMAL_BLOCK + 1, count=3, seed=1, pooled=False)
-    @example(n=_POOL_MIN_VALUES, count=20, seed=2, pooled=True)  # 4 rows a block: 5 blocks
-    @example(n=0, count=3, seed=3, pooled=False)  # an empty Langevin state
+           pooled=st.booleans(), k=st.integers(0, 3))
+    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=False, k=0)
+    @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=True, k=1)
+    @example(n=_NORMAL_BLOCK + 1, count=3, seed=1, pooled=False, k=2)
+    @example(n=_POOL_MIN_VALUES, count=20, seed=2, pooled=True, k=3)  # 4 rows a block: 5 blocks
+    @example(n=0, count=3, seed=3, pooled=False, k=0)  # an empty Langevin state
+    # odd n, width 2 mod 4: 3-row pooled blocks that start at offsets 0, 2, 0, 2
+    # mod 4 of a Philox counter's 4 doubles, then at 3, 1, 3
+    @example(n=_POOL_MIN_VALUES + 1, count=10, seed=4, pooled=True, k=0)
+    @example(n=10_001, count=7, seed=5, pooled=True, k=3)
     @settings(max_examples=40, deadline=None)
-    def test_normal_rows_equal_successive_normal_calls(self, n, count, seed, pooled):
+    def test_normal_rows_equal_successive_normal_calls(self, n, count, seed, pooled, k):
         rows, calls = RngStream(seed), RngStream(seed)
+        assert np.array_equal(rows.uniform((k,)), calls.uniform((k,)))  # the rows start at k
         with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
             for row in _normal_rows(rows, (n,), count, pool):
                 assert np.array_equal(row, calls.normal((n,)))
         assert rows.position == calls.position
         assert np.array_equal(rows.normal((5,)), calls.normal((5,)))
 
+    def test_draws_are_numpy_philox_from_the_stream_key(self):
+        # a stream, and a pooled block drawn at its counter, read a plain numpy Philox
+        rng = RngStream(7)
+        ref = np.random.Generator(np.random.Philox(key=rng.key)).random(13)
+        assert np.array_equal(np.concatenate([rng.uniform((k,)) for k in (1, 2, 3)]), ref[:6])
+        assert np.array_equal(_normal_block(rng.key, 5, 2, 4, (3,)),
+                              _shaped_normals(ref[5:13].reshape(2, 4), (3,)))
+
     @pytest.mark.parametrize("pooled", [False, True])
     def test_normal_rows_blocks_are_larger_pooled(self, pooled):
         # ebm's 10k Langevin chains: 1 row a block inline, 3 a pooled block
         rng, shapes = RngStream(4), []
-        uniform = rng.uniform
-        rng.uniform = lambda shape: shapes.append(shape) or uniform(shape)
         with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
+            if pooled:  # a pooled block is a task (key, position, rows, width, shape)
+                submit = pool.submit
+                pool.submit = lambda fn, *task: shapes.append(task[2:4]) or submit(fn, *task)
+            else:
+                uniform = rng.uniform
+                rng.uniform = lambda shape: shapes.append(shape) or uniform(shape)
             rows = list(_normal_rows(rng, (10_000,), 13, pool))
         assert shapes == ([(3, 10_000)] * 4 + [(1, 10_000)] if pooled else [(1, 10_000)] * 13)
         calls = RngStream(4)

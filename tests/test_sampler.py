@@ -42,7 +42,7 @@ from latentedit.schedule import NoiseSchedule, build_schedule
 UNIT_ENERGY = GMMEnergy(GMMPrior.scalar([1.0], [0.0], [1.0]))
 
 # a latent whose per-step noise is at least _POOL_MIN_VALUES draws, so sample
-# (and langevin_chains on a state this size) computes its Box-Muller on worker
+# (and langevin_chains on a state this size) draws its noise on worker
 # threads wherever a second CPU is usable
 POOLED_SHAPE = (128, 128, 2)
 assert np.prod(POOLED_SHAPE) >= _POOL_MIN_VALUES
@@ -736,6 +736,34 @@ class TestSample:
                             np.zeros(_POOL_MIN_VALUES + 1), RngStream(0))
         assert len(calls) >= 2
         assert threading.active_count() == before
+
+    def test_pooled_draws_run_every_stream_method_on_the_calling_thread(self, monkeypatch):
+        # perfbench's tracer wraps these methods, and its spans are not thread-safe
+        calls, workers = [], []
+
+        def on_thread(owner, name):
+            method = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(
+                (name, threading.get_ident())) or method(*a, **kw))
+
+        for owner, name in [(RngStream, "uniform"), (RngStream, "normal"),
+                            (RngStream, "spawn"), (LatentGrid, "__post_init__")]:
+            on_thread(owner, name)
+        normal_block = grid._normal_block
+        monkeypatch.setattr(grid, "_normal_block", lambda *task: workers.append(
+            threading.get_ident()) or normal_block(*task))
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)  # pooled even on one CPU
+        z_src = LatentGrid(np.zeros(POOLED_SHAPE))
+        sample(lambda z, t: np.zeros_like(z), POOLED_SHAPE, build_schedule("linear", 6, 1e-3, 0.2),
+               SamplerConfig(mask_mode="pin"), RngStream(0), mask=random_mask(128, 128, 0),
+               z_src=z_src)
+        langevin_chains(UNIT_ENERGY.grad_chain, LangevinConfig(step_size=0.1, steps=9),
+                        np.zeros(_POOL_MIN_VALUES + 1), RngStream(0))
+        caller = threading.get_ident()
+        assert {"spawn", "__post_init__"} <= {name for name, _ in calls}
+        assert {ident for _, ident in calls} == {caller}
+        assert len(workers) == 7 + 6 + 3  # 1-row blocks: z_T + 6 steps, 6 pin steps; 3 x 3 Langevin
+        assert caller not in workers
 
     def test_chain_count_validation(self, sched200):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])

@@ -255,7 +255,7 @@ def ebm_equivalence_experiment(
         d_mean, d_var = float(diff.mean()), float(diff.var())
         l_mean, l_var = float(lang.mean()), float(lang.var())
         mean_gap = abs(d_mean - l_mean)
-        var_gap = abs(d_var - l_var) / d_var
+        var_gap = float(np.abs(np.float64(d_var) - l_var) / d_var)  # numpy: 1 chain's 0/0 is NaN
     ok = mean_gap <= EBM_MEAN_TOL and var_gap <= EBM_VAR_REL_TOL
     row = (label, n_chains, d_mean, d_var, l_mean, l_var, mean_gap, var_gap, ok)
     return EbmReport([row])

@@ -321,13 +321,6 @@ def _diffusion_batches(prior: GMMPrior, sched: NoiseSchedule, n: int, rng: RngSt
         yield from zip(z0, t, eps)
 
 
-def _noised(z0: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """The closed-form jump sqrt(abar_t) z0 + sqrt(1 - abar_t) eps of a batch,
-    row i at timestep t[i], read from the schedule's rows (the same bits as
-    taking each square root per row)."""
-    return sched._sqrt_abar[t][:, None] * z0 + sched._sqrt_1m_abar[t][:, None] * eps
-
-
 def bayes_loss_estimate(
     prior: GMMPrior, sched: NoiseSchedule, n: int, rng: RngStream
 ) -> float:
@@ -339,7 +332,7 @@ def bayes_loss_estimate(
     |eps - eps_hat|^2 / dim.
     """
     z0, t_draw, eps = next(_diffusion_batches(prior, sched, n, rng, 1))
-    z_t = _noised(z0, t_draw, eps, sched)
+    z_t = sched._jump(t_draw[:, None], z0, eps)
     total = 0.0
     for t in np.unique(t_draw):
         idx = t_draw == t

@@ -147,14 +147,14 @@ class RngStream:
     transform over Philox uniform doubles; both are fixed integer/float
     recipes, so the same seed yields the same sequence on every platform
     (up to the platform's transcendental functions; see the README).  Each
-    ``normal`` call consumes ``2 * ceil(n / 2)`` uniforms.  The numpy
-    generator is built on the first draw, at ``position``, so a stream used
-    only for its ``key`` costs no generator.
+    ``normal`` call consumes ``2 * ceil(n / 2)`` uniforms.  The next draw is
+    uniform number ``position`` of the key, so setting ``position`` seeks: the
+    generator, built lazily, is rebuilt wherever its own position ``_at`` differs.
     """
 
     def __init__(self, seed: int, _key: int | None = None):
         self.key = _splitmix64(int(seed) & _MASK64) if _key is None else _key
-        self._gen = None
+        self._gen = self._at = None
         self.position = 0
 
     def spawn(self, *path: int | str) -> "RngStream":
@@ -167,10 +167,10 @@ class RngStream:
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1)."""
-        if self._gen is None:
+        if self._at != self.position:
             self._gen = _philox_at(self.key, self.position)
         out = self._gen.random(size=shape)
-        self.position += int(np.size(out))
+        self.position = self._at = self.position + int(np.size(out))
         return out
 
     def normal(self, shape=()) -> np.ndarray:
@@ -260,7 +260,6 @@ def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
         b = min(rows, count - lo)
         pending.append(pool.submit(_normal_block, rng.key, rng.position, b, width, shape))
         rng.position += b * width
-        rng._gen = None  # the next uniform() call starts at the new position
         if len(pending) > _AHEAD:
             yield from pending.popleft().result()
     while pending:

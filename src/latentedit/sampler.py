@@ -98,8 +98,8 @@ def noise_to(z_0: LatentGrid, t: int, eps: LatentGrid, sched: NoiseSchedule) -> 
     """
     if z_0.shape != eps.shape:
         raise ValueError(f"dimension mismatch: {z_0.shape} vs {eps.shape}")
-    abar = sched.alpha_bar_at(t)
-    return LatentGrid(np.sqrt(abar) * z_0.data + np.sqrt(1.0 - abar) * eps.data)
+    sched.alpha_bar_at(t)  # the range check; _jump reads its rows unchecked
+    return LatentGrid(sched._jump(t, z_0.data, eps.data))
 
 
 def _step(
@@ -126,7 +126,7 @@ def _step(
     ``bufs[0]``, which must alias no input; given no ``bufs``, the step
     allocates them.  Inputs, t included, are not checked here.
     """
-    out, eps, tmp, keep = bufs if bufs is not None else _buffers(z, eps_hat, md, cfg)
+    out, eps, tmp, keep = bufs if bufs is not None else _buffers(z, md, cfg)
     c = sched._entries
     mode = cfg.mask_mode if md is not None else None
     if mode == "gate":
@@ -164,13 +164,11 @@ def _step(
     return out
 
 
-def _buffers(z: np.ndarray, eps_hat: np.ndarray, md: np.ndarray | None,
-             cfg: SamplerConfig) -> tuple:
-    """``_step``'s arrays: the output, two scratch arrays of its shape, and pin
-    mode's 1 - md (None in the other modes and without a mask)."""
-    shape = np.broadcast_shapes(z.shape, eps_hat.shape)
+def _buffers(z: np.ndarray, md: np.ndarray | None, cfg: SamplerConfig) -> tuple:
+    """``_step``'s arrays: the output and two scratch arrays of z's shape, which
+    every prediction has, and pin mode's 1 - md (None otherwise)."""
     keep = 1.0 - md if md is not None and cfg.mask_mode == "pin" else None
-    return np.empty(shape), np.empty(shape), np.empty(shape), keep
+    return np.empty(z.shape), np.empty(z.shape), np.empty(z.shape), keep
 
 
 def _check_shapes(shape: tuple, **grids) -> None:
@@ -245,21 +243,19 @@ def _reverse(denoiser, z, noise, sched, cfg, md=None, src=None, pin_noise=None, 
 
     ``noise`` (and ``pin_noise`` in pin mode) yields one draw per step,
     already shaped to broadcast against z; ``recon`` is the direction-mode
-    reconstruction denoiser.  The loop owns its arrays: the first step
-    allocates two state buffers and ``_step``'s scratch, and each step writes
-    into the state buffer that does not hold z, so no step allocates and no
-    update aliases z, or a prediction that is z itself.
+    reconstruction denoiser.  The loop owns its arrays: it allocates two
+    state buffers and ``_step``'s scratch before the first step, and each
+    step writes into the state buffer that does not hold z, so no step
+    allocates and no update aliases z, or a prediction that is z itself.
     """
     direction = md is not None and cfg.mask_mode == "direction"
+    bufs, spare = _buffers(z, md, cfg), np.empty(z.shape)
     # overflow on the way to a non-finite state is reported by DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(sched.T, 0, -1):
             eps_hat = _predict(denoiser, z, t)
             eps_recon = _predict(recon, z, t) if direction else None
             pin_xi = next(pin_noise) if pin_noise is not None else None
-            if t == sched.T:
-                bufs = _buffers(z, eps_hat, md, cfg)
-                spare = np.empty_like(bufs[0])
             z = _step(z, t, eps_hat, next(noise), sched, cfg, md, src, pin_xi, eps_recon, bufs)
             bufs, spare = (spare, *bufs[1:]), z
     # reductions, not isfinite(z).all(): no temporary the size of z
@@ -370,7 +366,7 @@ def sample_chains(
         comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
         noise[:, lo:hi] = _box_muller(u[:, 1:], draws).T
     z0 = prior_init._place(comp_u, noise[0][:, None])[:, 0]
-    z = sched._sqrt_abar[-1] * z0 + sched._sqrt_1m_abar[-1] * noise[1]
+    z = sched._jump(sched.T, z0, noise[1])
     return _reverse(chain_denoiser, z, iter(noise[2:]), sched, cfg)
 
 

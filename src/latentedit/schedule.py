@@ -97,6 +97,11 @@ class NoiseSchedule:
             raise ValueError(f"timestep {t} out of range [0, {self.T}]")
         return float(self.alpha_bar[t - 1])
 
+    def _jump(self, t, z0: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """The closed-form jump sqrt(abar_t) z0 + sqrt(1 - abar_t) eps, unchecked:
+        ``t`` is a step in 0..T, or an index array that broadcasts against z0."""
+        return self._sqrt_abar[t] * z0 + self._sqrt_1m_abar[t] * eps
+
 
 def build_schedule(
     kind: str,

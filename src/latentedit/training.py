@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import GMMPrior, _diffusion_batches, _noised
+from .denoiser import GMMPrior, _diffusion_batches
 from .grid import RngStream, _write_block
 from .sampler import DivergenceError
 from .schedule import NoiseSchedule
@@ -121,7 +121,7 @@ def loss_and_grad(
     if z0.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     B, d = z0.shape
-    z_t = _noised(z0, t, eps, sched)
+    z_t = sched._jump(t[:, None], z0, eps)
 
     x = np.concatenate([z_t, model.time_embed[t - 1]], axis=1)  # (B, d+E)
     pre = x @ model.W1.T + model.b1                              # (B, H)

@@ -248,6 +248,12 @@ class TestEbmEquivalence:
         with pytest.raises(ValueError, match=">= 1"):
             ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05), 0)
 
+    def test_one_chain_fails_the_check_without_raising(self, sched):
+        # one chain has zero variance, so the relative variance gap is 0/0
+        prior = GMMPrior.scalar([1.0], [0.0], [1.0])
+        row = ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05), 1).rows[0]
+        assert row[3] == row[5] == 0.0 and np.isnan(row[7]) and row[8] is False
+
     def test_grid_prior_rejected(self, sched):
         from latentedit.grid import LatentGrid
 

@@ -298,6 +298,17 @@ class TestBenchCommands:
         assert captured.out.splitlines()[1].startswith("FAIL  moment-equivalence-prior_0: ")
         assert captured.err == ""
 
+    def test_ebm_one_chain_fails_without_a_traceback(self, workspace, capsys):
+        # one chain has zero variance: the relative variance gap is NaN, a FAIL
+        cfg = {"seed": 0, "schedule": {"T": 50}, "bench": {"ebm": {
+            "chains": 1, "priors": [{"weights": [1.0], "means": [0.0], "scales": [1.0]}],
+            "langevin": {"steps": 5}}}}
+        config = write_config(workspace, cfg)
+        assert main(["bench-ebm", config, "--out", str(workspace / "ebm1")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("FAIL  moment-equivalence-prior_0: ")
+        assert "|dvar|/var=nan" in captured.out and "Traceback" not in captured.err
+
     def test_ebm_json_is_strict_when_moments_overflow(self, workspace):
         cfg = {"seed": 0, "schedule": {"T": 5}, "bench": {"ebm": {
             "chains": 10, "priors": [{"weights": [1.0], "means": [1e308], "scales": [1.0]}],

@@ -102,6 +102,21 @@ class TestRngStream:
         a.normal((3,))  # box-muller consumes 2*ceil(3/2) = 4 uniforms
         assert a.position == 4
 
+    @given(seed=st.integers(0, 2**64 - 1), a=st.integers(0, 40), p=st.integers(0, 300),
+           b=st.integers(0, 40))
+    @example(seed=0, a=3, p=0, b=3)  # a rewind
+    @example(seed=0, a=3, p=7, b=3)  # a seek past the generator's counter
+    @settings(max_examples=60, deadline=None)
+    def test_setting_position_seeks_the_stream(self, seed, a, p, b):
+        r = RngStream(seed)
+        r.uniform((a,))
+        r.position = p
+        fresh = RngStream(seed).uniform((p + b + 2,))
+        assert r.uniform((b,)).tobytes() == fresh[p : p + b].tobytes()
+        assert r.position == p + b
+        gen = r._gen  # a draw from where the last one ended builds no generator
+        assert r.uniform((2,)).tobytes() == fresh[p + b :].tobytes() and r._gen is gen
+
     def test_int_shape_equals_one_tuple(self):
         assert np.array_equal(RngStream(7).normal(3), RngStream(7).normal((3,)))
 

@@ -413,7 +413,7 @@ class TestBufferedLoop:
         md = random_mask(3, 4, 9).data[:, :, None] if mode else None
         cfg = SamplerConfig(method=method, mask_mode=mode or "pin")
         args = (z, 4, eps_hat, xi, sched, cfg, md, src, pin_xi, eps_recon)
-        bufs = _buffers(z, eps_hat, md, cfg)
+        bufs = _buffers(z, md, cfg)
         got = _step(*args, bufs)
         assert got is bufs[0]
         assert got.tobytes() == _step(*args).tobytes() == scalar_step(*args).tobytes()

@@ -174,3 +174,24 @@ class TestFromBetas:
     def test_rejects_beta_outside_unit_interval_naming_its_index(self, bad):
         with pytest.raises(ValueError, match=r"beta\[2\] must be finite and in \[0, 1\)"):
             NoiseSchedule(beta=np.array([0.1, 0.0, bad, 0.2]))
+
+
+class TestJump:
+    @pytest.mark.parametrize("sched", [
+        build_schedule("linear", 9, 1e-3, 0.2), build_schedule("cosine", 12),
+        NoiseSchedule(beta=np.array([0.0, 0.3, 0.0, 0.9999999999999999, 0.5])),
+    ], ids=["linear", "cosine", "explicit-with-zero-beta"])
+    def test_jump_equals_the_per_step_and_per_row_recipes(self, sched):
+        gen = np.random.default_rng(3)
+        z0, eps = gen.standard_normal((2, 6, 2))
+        for t in range(sched.T + 1):  # per step: sqrt of the scalar alpha_bar_at(t)
+            abar = sched.alpha_bar_at(t)
+            want = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
+            assert sched._jump(t, z0, eps).tobytes() == want.tobytes(), t
+        # a batch, row i at step t[i]: the rows indexed by t, then given a column axis
+        t = gen.integers(0, sched.T + 1, 6)
+        want = sched._sqrt_abar[t][:, None] * z0 + sched._sqrt_1m_abar[t][:, None] * eps
+        assert sched._jump(t[:, None], z0, eps).tobytes() == want.tobytes()
+        # sample_chains' start: the rows' last entries
+        want = sched._sqrt_abar[-1] * z0[:, 0] + sched._sqrt_1m_abar[-1] * eps[:, 0]
+        assert sched._jump(sched.T, z0[:, 0], eps[:, 0]).tobytes() == want.tobytes()

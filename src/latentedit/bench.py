@@ -20,7 +20,7 @@ import numpy as np
 from . import editor as editor_mod
 from . import sampler as sampler_mod
 from .codec import CodecConfig, encode
-from .denoiser import EditInstruction, GMMEnergy, GMMPrior, gmm_chain_denoiser
+from .denoiser import EditInstruction, GMMEnergy, GMMPrior, gmm_chain_denoiser, identity_edit
 from .grid import LatentGrid, Mask, RngStream, rmse
 from .sampler import LangevinConfig, SamplerConfig
 from .schedule import NoiseSchedule
@@ -133,16 +133,6 @@ def write_report(report: Report, path: str, fmt: str = "csv") -> None:
             fh.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def identity_edit(noise_scale: float) -> EditInstruction:
-    """The null instruction: keep the latent, with the given target spread.
-
-    A nonzero spread makes each denoising pass contribute the stochastic
-    artifacts that iteration strategies are meant to manage; zero spread
-    makes the pipeline exactly deterministic.
-    """
-    return EditInstruction(id="identity", gain=1.0, bias=0.0, target_scale=noise_scale)
 
 
 def drift_experiment(

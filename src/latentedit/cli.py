@@ -272,7 +272,10 @@ def _build(cfg: dict) -> dict:
         where = f"config.bench.ebm.priors[{i}]"
         prior = _prior(block, where)
         _at(where, GMMEnergy, prior)  # Langevin needs the energy's positive scales
-        built["priors"].append((block.get("label", f"prior_{i}"), prior))
+        label = block.get("label", f"prior_{i}")
+        if label in dict(built["priors"]):  # each claim and report row is named by it
+            raise ConfigError(f"{where}.label: an earlier prior is already labelled {label!r}")
+        built["priors"].append((label, prior))
     built["langevin"] = _at("config.bench.ebm.langevin", LangevinConfig, **ebm["langevin"])
     if "training" in cfg:
         block = cfg["training"]

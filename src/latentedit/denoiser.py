@@ -134,6 +134,16 @@ class EditInstruction:
         return LatentGrid(a[None, None, :] * z_src.data + self._bias_values())
 
 
+def identity_edit(noise_scale: float) -> EditInstruction:
+    """The null instruction: keep the latent, with the given target spread.
+
+    A nonzero spread makes each denoising pass contribute the stochastic
+    artifacts that iteration strategies are meant to manage; zero spread
+    makes the pipeline exactly deterministic.
+    """
+    return EditInstruction(id="identity", gain=1.0, bias=0.0, target_scale=noise_scale)
+
+
 # an overflow gives inf or NaN, which EditInstruction and LatentGrid reject
 @np.errstate(over="ignore", invalid="ignore")
 def compose_edits(edits, like: LatentGrid) -> EditInstruction:

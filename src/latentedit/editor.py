@@ -2,8 +2,8 @@
 through the encode / denoise / decode pipeline under one of four iteration
 strategies.
 
-latent_iteration     condition each edit on the previous edit's output latent
-                     (renormalized); the image is encoded exactly once.
+latent_iteration     condition each edit on the previous edit's output latent, renormalized
+                     against the decoded image recorded for it; the input is encoded once.
 image_iteration      re-encode the latest decoded output before each edit.
 concat_instructions  always condition on the original image's latent, with
                      all edits so far as one composed operator, built at open.
@@ -24,7 +24,7 @@ import numpy as np
 from . import codec as codec_mod
 from . import sampler as sampler_mod
 from .codec import CodecConfig
-from .denoiser import EditInstruction, compose_edits, edit_denoiser
+from .denoiser import EditInstruction, compose_edits, edit_denoiser, identity_edit
 from .grid import LatentGrid, Mask, RngStream, _NonFiniteGrid, mean_stat
 from .sampler import DivergenceError, SamplerConfig
 from .schedule import NoiseSchedule
@@ -121,18 +121,19 @@ def open_session(
     )
 
 
-def renormalize_latent(z: LatentGrid, codec_cfg: CodecConfig) -> tuple[LatentGrid, float]:
-    """Rescale z so its mean matches the mean of one decode/encode round-trip
-    of itself; returns (rescaled latent, factor).  The round-trip is used only
-    for that scalar; the latent values themselves are never replaced.  Means
-    below the absolute floor, or small against the latent's RMS, disable
-    scaling (factor 1)."""
+def renormalize_latent(z: LatentGrid, image: LatentGrid,
+                       codec_cfg: CodecConfig) -> tuple[LatentGrid, float]:
+    """Rescale z so its mean matches the mean of ``image``, z's decoded image
+    (a session passes the one it recorded), encoded again: one decode/encode
+    round trip of z; returns (rescaled latent, factor).  The round trip gives
+    only that scalar; the latent values are never replaced.  Means below the
+    absolute floor, or small against the latent's RMS, disable scaling (factor 1)."""
     d = mean_stat(z)
     if abs(d) < RENORM_MEAN_FLOOR or (
         abs(d) < RENORM_MEAN_REL_FLOOR * np.sqrt(np.mean(z.data**2))
     ):
         return z, 1.0
-    r = mean_stat(codec_mod.encode(codec_mod.decode(z, codec_cfg), codec_cfg))
+    r = mean_stat(codec_mod.encode(image, codec_cfg))
     f = r / d
     return LatentGrid(z.data * f), f
 
@@ -147,7 +148,7 @@ def _conditioning_latent(session: EditSession) -> tuple[LatentGrid, EditInstruct
             session.encode_calls += 1
             return codec_mod.encode(session.original, cfg), edit, 1.0
         session.renorm_roundtrips += 1
-        z_img, f = renormalize_latent(session.prev_latent, cfg)
+        z_img, f = renormalize_latent(session.prev_latent, session.outputs[-1], cfg)
         return z_img, edit, f
     if session.strategy in ("image_iteration", "blur_baseline"):
         source = session.original if e == 0 else session.outputs[-1]
@@ -220,10 +221,7 @@ def _apply_edits(sessions) -> list[LatentGrid]:
 
         recon = None
         if mask is not None and first.sampler_cfg.mask_mode == "direction":
-            recon_edits = [
-                EditInstruction(id="recon", gain=1.0, bias=0.0, target_scale=edit.target_scale)
-                for edit in edits
-            ]
+            recon_edits = [identity_edit(edit.target_scale) for edit in edits]
             recon = edit_denoiser(recon_edits, z_imgs, first.sched)
 
         z0 = sampler_mod._sample(

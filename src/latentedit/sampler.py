@@ -57,12 +57,12 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class LangevinConfig:
-    """Overdamped Langevin iteration parameters: step size, per-step (or
-    constant) noise scale, and iteration count."""
+    """Overdamped Langevin iteration parameters: step size, iteration count,
+    and per-step (or constant) noise scale."""
 
     step_size: float
+    steps: int
     noise_scale: object = None
-    steps: int = 1000
 
     def __post_init__(self) -> None:
         if not 0 < self.step_size < np.inf:
@@ -86,9 +86,9 @@ class LangevinConfig:
 
 def forward_step(z_prev: LatentGrid, t: int, sched: NoiseSchedule, rng: RngStream) -> LatentGrid:
     """One Markov noising step: sqrt(1-beta_t) * z_{t-1} + sqrt(beta_t) * xi."""
-    beta, _, _, _ = sched.query(t)
+    i = sched._index(t)
     xi = rng.normal(z_prev.shape)
-    return LatentGrid(np.sqrt(1.0 - beta) * z_prev.data + np.sqrt(beta) * xi)
+    return LatentGrid(sched._sqrt_alpha[i] * z_prev.data + sched.sigma[i] * xi)
 
 
 def noise_to(z_0: LatentGrid, t: int, eps: LatentGrid, sched: NoiseSchedule) -> LatentGrid:

@@ -79,8 +79,8 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     steps: int
+    optimizer: str  # sgd | adam
     seed: int = 0
-    optimizer: str = "sgd"  # sgd | adam
 
     def __post_init__(self) -> None:
         if not 0 <= self.learning_rate < np.inf:
@@ -93,16 +93,26 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
 
+def _time_rows(model: TinyDenoiser, t: np.ndarray) -> np.ndarray:
+    """The time table's rows for timesteps t, after checking each is in {1..T}."""
+    bad = t[(t < 1) | (t > model.T)]
+    if bad.size:
+        raise ValueError(f"timestep {bad[0]} out of range [1, {model.T}]")
+    return model.time_embed[t - 1]
+
+
+def _layers(model: TinyDenoiser, z: np.ndarray, emb: np.ndarray):
+    """(x, hidden, pred): the input [z; emb], the tanh layer and the prediction."""
+    x = np.concatenate([z, emb], axis=1)
+    hidden = np.tanh(x @ model.W1.T + model.b1)
+    return x, hidden, hidden @ model.W2.T + model.b2
+
+
 def forward(model: TinyDenoiser, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Batched forward pass: z is (B, d), t is (B,) timesteps in {1..T}."""
     if z.ndim != 2 or z.shape[1] != model.d:
         raise ValueError(f"latent has shape {z.shape}, model expects {model.d} values a row")
-    bad = t[(t < 1) | (t > model.T)]
-    if bad.size:
-        raise ValueError(f"timestep {bad[0]} out of range [1, {model.T}]")
-    x = np.concatenate([z, model.time_embed[t - 1]], axis=1)
-    hidden = np.tanh(x @ model.W1.T + model.b1)
-    return hidden @ model.W2.T + model.b2
+    return _layers(model, z, _time_rows(model, t))[2]
 
 
 def loss_and_grad(
@@ -113,7 +123,7 @@ def loss_and_grad(
     """Per-coordinate squared-error loss and exact analytic gradients.
 
     ``batch`` is (z0, t, eps) with z0, eps of shape (B, d) and integer
-    timesteps t of shape (B,); z_t is formed by the closed-form jump.
+    timesteps t in {1..T} of shape (B,); z_t is formed by the closed-form jump.
     """
     z0, t, eps = batch
     if z0.ndim != 2 or z0.shape != eps.shape or t.shape != (z0.shape[0],):
@@ -121,12 +131,8 @@ def loss_and_grad(
     if z0.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     B, d = z0.shape
-    z_t = sched._jump(t[:, None], z0, eps)
-
-    x = np.concatenate([z_t, model.time_embed[t - 1]], axis=1)  # (B, d+E)
-    pre = x @ model.W1.T + model.b1                              # (B, H)
-    hidden = np.tanh(pre)
-    pred = hidden @ model.W2.T + model.b2                        # (B, d)
+    emb = _time_rows(model, t)  # checks t before _jump reads a row
+    x, hidden, pred = _layers(model, sched._jump(t[:, None], z0, eps), emb)
 
     resid = pred - eps
     loss = float(np.add.reduce(resid**2, axis=None) / resid.size)  # np.mean minus its wrapper

@@ -246,12 +246,13 @@ class TestEbmEquivalence:
     def test_zero_chains_rejected(self, sched):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])
         with pytest.raises(ValueError, match=">= 1"):
-            ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05), 0)
+            ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05, steps=1000), 0)
 
     def test_one_chain_fails_the_check_without_raising(self, sched):
         # one chain has zero variance, so the relative variance gap is 0/0
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])
-        row = ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05), 1).rows[0]
+        row = ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05, steps=1000),
+                                         1).rows[0]
         assert row[3] == row[5] == 0.0 and np.isnan(row[7]) and row[8] is False
 
     def test_grid_prior_rejected(self, sched):
@@ -260,7 +261,7 @@ class TestEbmEquivalence:
         prior = GMMPrior(np.array([1.0]), (LatentGrid.constant(0.0, 2, 2, 1),),
                          np.array([1.0]))
         with pytest.raises(ValueError, match="scalar"):
-            ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05), 10)
+            ebm_equivalence_experiment(prior, sched, LangevinConfig(step_size=0.05, steps=1000), 10)
 
 
 def drift_rows(**series):

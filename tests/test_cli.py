@@ -658,6 +658,11 @@ class TestConfigValidation:
          r"^config error: config\.schedule\.T: must be <= 1000, got 1000000000000\n$"),
         ("bench-ebm", {"schedule": {"T": 200_000}, "bench": {"ebm": {"chains": 100_000}}},
          r"^config error: config\.schedule\.T: must be <= 1000, got 200000\n$"),
+        # prior 0 has the default label prior_0; a repeated label names two claims alike
+        ("bench-ebm", {"bench": {"ebm": {"priors": [UNIT_PRIOR,
+                                                    {**UNIT_PRIOR, "label": "prior_0"}]}}},
+         r"^config error: config\.bench\.ebm\.priors\[1\]\.label: "
+         r"an earlier prior is already labelled 'prior_0'\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -673,7 +678,7 @@ class TestConfigValidation:
             "ebm-chains-beyond-int64", "hidden-beyond-int64", "langevin-steps-beyond-int64",
             "schedule-T-beyond-int64", "seed-beyond-int64", "empty-gain", "locality-empty-gain",
             "hidden-over-bound", "ebm-chains-over-bound", "schedule-first-alpha-is-one",
-            "schedule-T-over-bound", "ebm-T-and-chains-over-bound"])
+            "schedule-T-over-bound", "ebm-T-and-chains-over-bound", "ebm-label-repeated"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentedit import editor as editor_mod
-from latentedit.codec import CodecConfig, encode
-from latentedit.denoiser import EditInstruction, compose_edits
+from latentedit.codec import CodecConfig, decode, encode
+from latentedit.denoiser import EditInstruction, compose_edits, edit_denoiser, identity_edit
 from latentedit.editor import (
     RENORM_MEAN_FLOOR,
     STRATEGIES,
@@ -24,7 +24,7 @@ from latentedit.editor import (
 )
 from latentedit.fixtures import load_fixture
 from latentedit.grid import LatentGrid, Mask, RngStream, mean_stat, rmse
-from latentedit.sampler import METHODS, SamplerConfig
+from latentedit.sampler import METHODS, SamplerConfig, sample
 from latentedit.schedule import build_schedule
 
 # a latent whose per-step noise is drawn on worker threads wherever a
@@ -109,6 +109,21 @@ class TestApplyEdit:
         frozen = np.broadcast_to(mask_data[:, :, None] == 0.0, z_src.shape)
         assert np.array_equal(session.prev_latent.data[frozen], z_src.data[frozen])
 
+    def test_direction_mode_reconstructs_at_the_edit_spread(self, fixture_image, sched50,
+                                                            codec_cfg):
+        # the reconstruction denoiser is the null edit at the edit's own target spread
+        mask = Mask(np.pad(np.ones((6, 6)), 6))
+        edit = EditInstruction(id="bright", gain=1.0, bias=0.8, target_scale=0.3)
+        cfg = SamplerConfig(mask_mode="direction")
+        session = open_session(fixture_image, [edit], [mask], sched=sched50, sampler_cfg=cfg,
+                               codec_cfg=codec_cfg, seed=3)
+        apply_edit(session)
+        z_src = encode(fixture_image, codec_cfg)
+        want = sample(edit_denoiser(edit, z_src, sched50), z_src.shape, sched50, cfg,
+                      RngStream(3).spawn("edit", 0), mask, z_src=z_src,
+                      recon_denoiser=edit_denoiser(identity_edit(0.3), z_src, sched50))
+        assert np.array_equal(session.prev_latent.data, want.data)
+
     def test_exhausted_session_raises(self, fixture_image, session_kwargs):
         session = open_session(fixture_image, [identity()], **session_kwargs, seed=3)
         apply_edit(session)
@@ -124,20 +139,18 @@ class TestApplyEdit:
 class TestRenormalize:
     def test_lattice_constant_unchanged(self, codec_cfg):
         z = LatentGrid.constant(2.125, 4, 4, 1)
-        out, _ = renormalize_latent(z, codec_cfg)
+        out, _ = renormalize_latent(z, decode(z, codec_cfg), codec_cfg)
         np.testing.assert_array_equal(out.data, z.data)
 
     def test_output_mean_matches_roundtrip_mean(self, codec_cfg, rng):
         z = LatentGrid(1.0 + 0.4 * rng.normal((6, 6, 1)))
-        from latentedit.codec import decode, encode as enc
-
-        out, _ = renormalize_latent(z, codec_cfg)
-        reference = mean_stat(enc(decode(z, codec_cfg), codec_cfg))
+        out, _ = renormalize_latent(z, decode(z, codec_cfg), codec_cfg)
+        reference = mean_stat(encode(decode(z, codec_cfg), codec_cfg))
         np.testing.assert_allclose(mean_stat(out), reference, rtol=1e-12)
 
     def test_near_zero_mean_disables_scaling(self, codec_cfg):
         z = LatentGrid.constant(3e-9, 4, 4, 1)
-        out, _ = renormalize_latent(z, codec_cfg)
+        out, _ = renormalize_latent(z, decode(z, codec_cfg), codec_cfg)
         np.testing.assert_array_equal(out.data, z.data)
 
     def test_mean_small_against_spread_disables_scaling(self, codec_cfg):
@@ -146,7 +159,7 @@ class TestRenormalize:
         g = RngStream(0).normal((18, 18, 1))
         z = LatentGrid(g - g.mean() + 1e-6)
         assert abs(mean_stat(z)) > RENORM_MEAN_FLOOR
-        out, _ = renormalize_latent(z, codec_cfg)
+        out, _ = renormalize_latent(z, decode(z, codec_cfg), codec_cfg)
         np.testing.assert_array_equal(out.data, z.data)
 
 

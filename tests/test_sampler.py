@@ -167,6 +167,20 @@ class TestForwardStep:
         out = forward_step(z, 1, sched, StubRng(0.0))
         np.testing.assert_allclose(out.data, 0.9, rtol=1e-12)
 
+    @pytest.mark.parametrize("sched", [
+        build_schedule("linear", 200), build_schedule("cosine", 200),
+        manual_schedule([0.0, 0.3, 1e-17, 0.999]),
+    ], ids=["linear", "cosine", "explicit-with-zero-beta"])
+    def test_schedule_rows_equal_the_scalar_recipe(self, sched):
+        # forward_step reads sqrt(alpha_t) and sigma_t from the schedule's rows;
+        # they must give the bits of the square roots of query(t)'s beta
+        z, xi = RngStream(4).normal((3, 2, 2)), 0.37
+        for t in range(1, sched.T + 1):
+            beta = sched.query(t)[0]
+            want = np.sqrt(1.0 - beta) * z + np.sqrt(beta) * np.full(z.shape, xi)
+            got = forward_step(LatentGrid(z), t, sched, StubRng(xi)).data
+            assert got.tobytes() == want.tobytes(), f"t={t}"
+
     def test_composed_steps_match_closed_form_moments(self):
         # acceptance-scale check lives in test_acceptance; this is the small version
         sched = build_schedule("linear", 10, 0.02, 0.15)

@@ -139,7 +139,7 @@ def grid_forward(model, z: LatentGrid, t: int) -> LatentGrid:
     return LatentGrid(forward(model, z.data.reshape(1, -1), np.array([t])).reshape(z.shape))
 
 
-TINY_CFG = TrainConfig(learning_rate=0.1, batch_size=2, steps=1)
+TINY_CFG = TrainConfig(learning_rate=0.1, batch_size=2, steps=1, optimizer="sgd")
 
 
 def zero_model(d=2, T=10, hidden=4, embed=4):
@@ -176,12 +176,17 @@ class TestForward:
         with pytest.raises(ValueError, match=r"^latent has shape \(2,\), model expects 2 values"):
             forward(model, np.zeros(2), np.array([1]))
 
-    @pytest.mark.parametrize("t", [0, 11])
+    @pytest.mark.parametrize("t", [0, 11, -3])
     def test_timestep_outside_the_schedule_is_rejected(self, t):
-        # t = 0 would read the last embedding row, t = T + 1 past the table;
-        # the message names the first bad timestep
-        with pytest.raises(ValueError, match=rf"^timestep {t} out of range \[1, 10\]$"):
-            forward(zero_model(d=2, T=10), np.zeros((3, 2)), np.array([4, t, 12]))
+        # t = 0 or -3 would read an embedding row from the end, t = T + 1 past
+        # the table; the message names the first bad timestep.  The training
+        # loss checks t before its closed-form jump reads a schedule row.
+        model, zeros, ts = zero_model(d=2, T=10), np.zeros((3, 2)), np.array([4, t, 12])
+        message = rf"^timestep {t} out of range \[1, 10\]$"
+        with pytest.raises(ValueError, match=message):
+            forward(model, zeros, ts)
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(model, (zeros, ts, zeros), build_schedule("linear", 10))
 
     def test_init_rejects_oversized_latents(self):
         with pytest.raises(ValueError, match=r"\[1, 64\]"):
@@ -290,7 +295,7 @@ class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self, prior, sched50):
         model = TinyDenoiser.init(d=1, T=50, hidden=16, seed=2)
         before = {k: v.copy() for k, v in model.params().items()}
-        cfg = TrainConfig(learning_rate=0.0, batch_size=256, steps=100, seed=2)
+        cfg = TrainConfig(learning_rate=0.0, batch_size=256, steps=100, seed=2, optimizer="sgd")
         trained, trace = train(model, prior, sched50, cfg)
         assert all(np.array_equal(before[k], getattr(trained, k)) for k in PARAM_NAMES)
         # flat trace: batches are fresh draws, so only the trend must vanish
@@ -298,7 +303,7 @@ class TestTrain:
         assert abs(trace[:50].mean() - trace[50:].mean()) < 0.1
 
     def test_same_seed_identical_traces(self, prior, sched50):
-        cfg = TrainConfig(learning_rate=0.01, batch_size=16, steps=60, seed=5)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, steps=60, seed=5, optimizer="sgd")
         model = TinyDenoiser.init(d=1, T=50, hidden=16, seed=2)
         _, trace_a = train(model, prior, sched50, cfg)
         _, trace_b = train(model, prior, sched50, cfg)
@@ -307,13 +312,13 @@ class TestTrain:
     def test_training_does_not_mutate_input_model(self, prior, sched50):
         model = TinyDenoiser.init(d=1, T=50, hidden=16, seed=2)
         before = model.W1.copy()
-        cfg = TrainConfig(learning_rate=0.05, batch_size=16, steps=30, seed=5)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=16, steps=30, seed=5, optimizer="sgd")
         train(model, prior, sched50, cfg)
         assert np.array_equal(model.W1, before)
 
     def test_divergence_error_on_huge_rate(self, prior, sched50):
         model = TinyDenoiser.init(d=1, T=50, hidden=16, seed=2)
-        cfg = TrainConfig(learning_rate=1e18, batch_size=8, steps=200, seed=5)
+        cfg = TrainConfig(learning_rate=1e18, batch_size=8, steps=200, seed=5, optimizer="sgd")
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
             train(model, prior, sched50, cfg)
 
@@ -321,7 +326,7 @@ class TestTrain:
         # the loss before the only step is finite; the update itself overflows W1
         prior = GMMPrior.scalar([0.5, 0.5], [-100.0, 100.0], [0.25, 0.25])
         model = TinyDenoiser.init(d=1, T=20, hidden=8, seed=0)
-        cfg = TrainConfig(learning_rate=1e308, batch_size=16, steps=1)
+        cfg = TrainConfig(learning_rate=1e308, batch_size=16, steps=1, optimizer="sgd")
         with pytest.raises(DivergenceError, match="parameters became non-finite at step 1"):
             train(model, prior, SCHED20, cfg)
 
@@ -354,7 +359,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("call, message", [
         (lambda s: TinyDenoiser.init(d=1, T=50, embed_dim=0), r"^embedding dim must be >= 1, got 0$"),
-        (lambda s: TrainConfig(learning_rate=0.1, batch_size=1, steps=-1),
+        (lambda s: TrainConfig(learning_rate=0.1, batch_size=1, steps=-1, optimizer="sgd"),
          r"^step count must be >= 0, got -1$"),
         (lambda s: loss_and_grad(zero_model(d=1, T=50), (np.zeros((2, 1)), np.ones(3, dtype=int),
                                                          np.zeros((2, 1))), s),
@@ -370,7 +375,7 @@ class TestTrain:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="batch size"):
-            TrainConfig(learning_rate=0.1, batch_size=0, steps=1)
+            TrainConfig(learning_rate=0.1, batch_size=0, steps=1, optimizer="sgd")
         with pytest.raises(ValueError, match="optimizer"):
             TrainConfig(learning_rate=0.1, batch_size=1, steps=1, optimizer="lbfgs")
 
@@ -378,7 +383,8 @@ class TestTrain:
         ("learning_rate", -0.1), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ])
     def test_config_rejects_bad_field(self, field, value):
-        kwargs = {"learning_rate": 0.1, "batch_size": 1, "steps": 1, field: value}
+        kwargs = {"learning_rate": 0.1, "batch_size": 1, "steps": 1, "optimizer": "sgd",
+                  field: value}
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
 

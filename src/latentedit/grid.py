@@ -180,16 +180,31 @@ class RngStream:
         return _shaped_normals(self.uniform((1, 2 * ((math.prod(shape) + 1) // 2))), shape)[0]
 
 
-def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+def _box_muller(u: np.ndarray, n: int, use: np.ndarray | None = None) -> np.ndarray:
     """n standard normals from 2 * ceil(n / 2) uniforms along the last axis.
 
     The first half of the uniforms give radii (log uses 1-u in (0, 1]), the
-    second half angles; the cosines come first, then the sines.
+    second half angles; the cosines come first, then the sines.  With a boolean
+    ``use`` over the n values, it makes only those marked (and their pairs'
+    radii and angles) by the same operations, in place over ``u``; the rest are 0.0.
     """
     m = (n + 1) // 2
-    radius = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
-    angle = 2.0 * math.pi * u[..., m : 2 * m]
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
+    if use is None:
+        radius = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
+        angle = 2.0 * math.pi * u[..., m : 2 * m]
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
+    first, second = use[:m], np.pad(use[m:], (0, 2 * m - n))
+    pair, radius, angle = first | second, u[..., :m], u[..., m : 2 * m]
+    np.negative(radius, out=radius, where=pair)
+    np.log1p(radius, out=radius, where=pair)
+    np.multiply(-2.0, radius, out=radius, where=pair)
+    np.sqrt(radius, out=radius, where=pair)
+    np.multiply(2.0 * math.pi, angle, out=angle, where=pair)
+    out = np.zeros(u.shape)
+    for trig, half, where in [(np.cos, out[..., :m], first), (np.sin, out[..., m:], second)]:
+        trig(angle, out=half, where=where)
+        np.multiply(radius, half, out=half, where=where)
+    return out[..., :n]
 
 
 # uniforms per block draw; bounds _uniform_rows' scratch memory.  drift's
@@ -228,18 +243,21 @@ def _uniform_rows(rng: RngStream, width: int, count: int):
         yield rng.uniform((min(rows, count - lo), width))
 
 
-def _normal_block(key: int, position: int, rows: int, width: int, shape: tuple) -> np.ndarray:
+def _normal_block(key: int, position: int, rows: int, width: int, shape: tuple,
+                  *use: np.ndarray) -> np.ndarray:
     """``_shaped_normals`` of the (rows, width) uniforms at ``position`` of
     the stream keyed ``key``; a pure function, so a worker can run it."""
-    return _shaped_normals(_philox_at(key, position).random((rows, width)), shape)
+    return _shaped_normals(_philox_at(key, position).random((rows, width)), shape, *use)
 
 
-def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
+def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None, use=None):
     """Yield ``count`` arrays of standard normals of the given shape, equal
     bit for bit to ``count`` successive ``rng.normal(shape)`` calls; once
     every row is taken, ``rng.position`` has advanced by the same amount.
-    Each row of a ``_uniform_rows`` block holds one call's
-    2 * ceil(n / 2) uniforms, n the number of values in ``shape``.
+    Each row of a block (inline, sized as ``_uniform_rows`` sizes them) holds
+    one call's 2 * ceil(n / 2) uniforms, n the values in ``shape``.  Given a
+    boolean ``use`` over the n values, every block but the first and the last
+    makes only the values it marks, and 0.0 in the rest (``_box_muller``).
 
     With an executor ``pool``, the rows come in blocks of up to
     ``_POOL_BLOCK`` uniforms, and each block is a ``_normal_block`` task
@@ -250,15 +268,15 @@ def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
     submits; a worker's exception re-raises here.
     """
     width = 2 * ((math.prod(shape) + 1) // 2)
-    if pool is None:
-        for u in _uniform_rows(rng, width, count):
-            yield from _shaped_normals(u, shape)
-        return
-    rows = max(1, _POOL_BLOCK // max(2, width))
+    rows = max(1, (_NORMAL_BLOCK if pool is None else _POOL_BLOCK) // max(2, width))
     pending = collections.deque()
     for lo in range(0, count, rows):
         b = min(rows, count - lo)
-        pending.append(pool.submit(_normal_block, rng.key, rng.position, b, width, shape))
+        inner = () if use is None or lo == 0 or lo + b == count else (use,)
+        if pool is None:
+            yield from _shaped_normals(rng.uniform((b, width)), shape, *inner)
+            continue
+        pending.append(pool.submit(_normal_block, rng.key, rng.position, b, width, shape, *inner))
         rng.position += b * width
         if len(pending) > _AHEAD:
             yield from pending.popleft().result()
@@ -266,9 +284,9 @@ def _normal_rows(rng: RngStream, shape: tuple, count: int, pool=None):
         yield from pending.popleft().result()
 
 
-def _shaped_normals(u: np.ndarray, shape: tuple) -> np.ndarray:
+def _shaped_normals(u: np.ndarray, shape: tuple, *use: np.ndarray) -> np.ndarray:
     """``_box_muller`` of each row of a (b, width) uniform block, shaped (b, *shape)."""
-    return _box_muller(u, math.prod(shape)).reshape(len(u), *shape)
+    return _box_muller(u, math.prod(shape), *use).reshape(len(u), *shape)
 
 
 def _usable_cpus() -> int:

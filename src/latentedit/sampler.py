@@ -317,12 +317,24 @@ def _sample(denoiser, shape, sched, cfg, rng, md=None, src=None, recon=None, z_i
     every member shares z_T (or ``z_init``), the step noise and the pin
     noise, each given or drawn once in one member's layout and broadcast.  So each
     member's result equals its own ``sample`` run bit for bit.
+
+    A pinned step reads the step noise only inside the mask and the pin noise
+    only outside it, so inner blocks make only those (``grid._normal_rows``).
+    The first block holds z_T, read everywhere; at t = 1, and at every step of
+    a schedule with a zero noise coefficient at some t >= 2, an unread value
+    can set the sign of an output zero, so those run whole.  Elsewhere that
+    takes a uniform of exactly 0.0, a 2^-53 chance a draw (README, Reproducibility).
     """
     pin_rng = rng.spawn("pin")
     pinned = md is not None and cfg.mask_mode == "pin"
+    inside = outside = None
+    scale = sched._euler_sigma if cfg.method == "euler_ancestral" else sched.sigma
+    if pinned and sched._sqrt_1m_abar[1] > 0 and (scale[1:] > 0).all():
+        inside = np.broadcast_to(md != 0, shape).ravel()
+        outside = ~inside
     with _noise_pool(math.prod(shape)) as pool:
-        noise = _normal_rows(rng, shape, sched.T + (z_init is None), pool)
-        pin_noise = _normal_rows(pin_rng, shape, sched.T, pool) if pinned else None
+        noise = _normal_rows(rng, shape, sched.T + (z_init is None), pool, inside)
+        pin_noise = _normal_rows(pin_rng, shape, sched.T, pool, outside) if pinned else None
         z = np.broadcast_to(z_init if z_init is not None else next(noise), members + shape)
         return _reverse(denoiser, z, noise, sched, cfg, md, src, pin_noise, recon)
 

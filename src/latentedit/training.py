@@ -93,6 +93,12 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
 
+def _check_schedule(model: TinyDenoiser, sched: NoiseSchedule) -> None:
+    """The schedule must have the model's T: its rows pair with the time table's."""
+    if sched.T != model.T:
+        raise ValueError(f"schedule T={sched.T} does not match model T={model.T}")
+
+
 def _time_rows(model: TinyDenoiser, t: np.ndarray) -> np.ndarray:
     """The time table's rows for timesteps t, after checking each is in {1..T}."""
     bad = t[(t < 1) | (t > model.T)]
@@ -123,7 +129,8 @@ def loss_and_grad(
     """Per-coordinate squared-error loss and exact analytic gradients.
 
     ``batch`` is (z0, t, eps) with z0, eps of shape (B, d) and integer
-    timesteps t in {1..T} of shape (B,); z_t is formed by the closed-form jump.
+    timesteps t in {1..T} of shape (B,); z_t is formed by the closed-form jump
+    of ``sched``, which must have the model's T.
     """
     z0, t, eps = batch
     if z0.ndim != 2 or z0.shape != eps.shape or t.shape != (z0.shape[0],):
@@ -131,6 +138,7 @@ def loss_and_grad(
     if z0.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     B, d = z0.shape
+    _check_schedule(model, sched)
     emb = _time_rows(model, t)  # checks t before _jump reads a row
     x, hidden, pred = _layers(model, sched._jump(t[:, None], z0, eps), emb)
 
@@ -157,8 +165,7 @@ def train(
     SGD and Adam step one flat vector that the parameters are views of."""
     if prior.dim != model.d:
         raise ValueError(f"prior dim {prior.dim} does not match model dim {model.d}")
-    if sched.T != model.T:
-        raise ValueError(f"schedule T={sched.T} does not match model T={model.T}")
+    _check_schedule(model, sched)
     params = [getattr(model, name) for name in PARAM_NAMES]
     flat = np.concatenate([p.ravel() for p in params])
     parts = np.split(flat, np.cumsum([p.size for p in params])[:-1])
@@ -197,7 +204,8 @@ def heldout_loss(
     n: int,
     rng: RngStream,
 ) -> float:
-    """Loss on a fresh evaluation batch (no gradient step)."""
+    """Loss on a fresh evaluation batch (no gradient step); ``sched`` must
+    have the model's T."""
     loss, _ = loss_and_grad(model, next(_diffusion_batches(prior, sched, n, rng, 1)), sched)
     return loss
 

@@ -17,6 +17,7 @@ from latentedit.grid import (
     RngStream,
     _NORMAL_BLOCK,
     _POOL_MIN_VALUES,
+    _box_muller,
     _keyed_uniforms,
     _normal_block,
     _normal_rows,
@@ -140,6 +141,40 @@ class TestRngStream:
                 assert np.array_equal(row, calls.normal((n,)))
         assert rows.position == calls.position
         assert np.array_equal(rows.normal((5,)), calls.normal((5,)))
+
+    @given(use=st.lists(st.booleans(), min_size=1, max_size=300), rows=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1), zero=st.booleans())
+    @example(use=[True], rows=1, seed=0, zero=True)  # n = 1: a cosine and no sine
+    @example(use=[False], rows=2, seed=1, zero=False)
+    @example(use=[True] * 7, rows=2, seed=2, zero=True)  # odd n, all marked
+    @example(use=[True] * 8, rows=1, seed=3, zero=False)
+    @example(use=[False] * 9, rows=3, seed=4, zero=True)
+    @example(use=[False, True] * 5, rows=1, seed=5, zero=False)  # cosines off, sines on
+    @settings(max_examples=60, deadline=None)
+    def test_box_muller_with_use_makes_only_the_marked_values(self, use, rows, seed, zero):
+        n, use = len(use), np.array(use)
+        u = RngStream(seed).uniform((rows, 2 * ((n + 1) // 2)))
+        if zero:  # a zero uniform gives a zero radius, so the sign of a zero counts
+            u[:, ::3] = 0.0
+        want = np.where(use, _box_muller(u.copy(), n), 0.0)
+        assert _box_muller(u.copy(), n, use).tobytes() == want.tobytes()
+
+    # odd n: 1-row inline blocks and 3-row pooled ones
+    @pytest.mark.parametrize("pooled, full", [(False, {0, 9}), (True, {0, 1, 2, 9})])
+    def test_normal_rows_with_use_transform_inner_blocks_only_where_used(self, pooled, full):
+        # the first and last blocks are whole; the rows, the stream's position
+        # and its next draw are those of successive normal calls
+        n, count = _POOL_MIN_VALUES + 1, 10
+        use = RngStream(8).uniform((n,)) < 0.3
+        rows, calls = RngStream(9), RngStream(9)
+        with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
+            got = list(_normal_rows(rows, (n,), count, pool, use))
+        assert len(got) == count
+        for i, row in enumerate(got):
+            want = calls.normal((n,))
+            assert row.tobytes() == (want if i in full else np.where(use, want, 0.0)).tobytes()
+        assert rows.position == calls.position
+        assert rows.normal((5,)).tobytes() == calls.normal((5,)).tobytes()
 
     def test_draws_are_numpy_philox_from_the_stream_key(self):
         # a stream, and a pooled block drawn at its counter, read a plain numpy Philox

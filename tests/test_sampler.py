@@ -1,5 +1,6 @@
 """Forward noising, reverse stepping, masking modes, and Langevin iteration."""
 
+import hashlib
 import threading
 from functools import partial
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import StubRng
+from test_bench import recorded_platform
 from latentedit import grid
 from latentedit.denoiser import (
     EditInstruction,
@@ -46,6 +48,12 @@ UNIT_ENERGY = GMMEnergy(GMMPrior.scalar([1.0], [0.0], [1.0]))
 # threads wherever a second CPU is usable
 POOLED_SHAPE = (128, 128, 2)
 assert np.prod(POOLED_SHAPE) >= _POOL_MIN_VALUES
+
+# sha256 of the bytes of a pin-masked sample at a pooled 64x64x3 latent, T=6
+# (test_pinned_sample_matches_digest), recorded when both of a pinned run's
+# noise streams were transformed in full; same platform caveat as
+# test_bench.py's GOLDEN_DRIFT
+GOLDEN_PINNED = "3c9cb26a1faa3fbcdccdff588624d98a45e642808bfeef9746eb9649c386fbd7"
 
 
 def manual_schedule(betas):
@@ -581,6 +589,12 @@ class TestSample:
              add_final_noise=True, with_init=True)
     @example(h=128, w=128, c=2, T=6, seed=5, method="ddpm_full", mode="pin",
              add_final_noise=False, with_init=False)  # pooled Box-Muller: 32,768 values a step
+    # 3-row inline noise blocks, so each stream has inner blocks: gate and
+    # direction read all of the step noise
+    @example(h=40, w=40, c=3, T=10, seed=6, method="ddpm_full", mode="gate",
+             add_final_noise=False, with_init=False)
+    @example(h=40, w=40, c=3, T=10, seed=7, method="euler_ancestral", mode="direction",
+             add_final_noise=False, with_init=True)
     @settings(max_examples=60, deadline=None)
     def test_sample_equals_per_step_reference(self, h, w, c, T, seed, method, mode,
                                               add_final_noise, with_init):
@@ -614,6 +628,43 @@ class TestSample:
                      SamplerConfig(mask_mode="pin"), RngStream(seed), mask=mask, z_src=z_src)
         outside = np.broadcast_to(mask.data[:, :, None] == 0.0, out.shape)
         assert np.array_equal(out.data[outside], z_src.data[outside])
+
+    @pytest.mark.parametrize("add_final_noise", [False, True])
+    @pytest.mark.parametrize("shape, betas, method, denoiser, z_init", [
+        # 2-row pooled blocks, then 3-row inline ones; the denoiser reads every value of z
+        ((64, 64, 3), np.linspace(1e-3, 0.2, 6), "ddpm_full", "mean", None),
+        ((40, 40, 3), np.linspace(1e-3, 0.2, 10), "ddpm_full", "mean", None),
+        # a zero noise coefficient at some t >= 2 of an inner block: sqrt(1 - abar_{t-1})
+        # with abar_1 = 1 or rounding to 1, or sigma_t with a -0.0 start; a zero
+        # prediction passes the sign of a zero on to the next step
+        ((40, 40, 3), [0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.2, 0.1], "ddpm_literal", "zero", None),
+        ((64, 64, 3), [1e-17, 1e-17, 0.1, 0.2, 0.3, 0.2, 0.1, 0.1], "ddpm_literal", "zero", None),
+        ((64, 64, 3), [0.1] + [0.0] * 4, "ddpm_literal", "zero", -0.0),
+    ], ids=["pooled", "inline", "zero-betas", "abar-rounds-to-1", "zero-sigma"])
+    def test_pinned_sample_equals_reference_byte_for_byte(self, shape, betas, method, denoiser,
+                                                          z_init, add_final_noise):
+        # from a source of -0.0, an output zero outside the mask takes its sign
+        # from the step's output there: tobytes() tells -0.0 from 0.0, which
+        # array_equal does not
+        sched = NoiseSchedule(np.asarray(betas, dtype=float))
+        cfg = SamplerConfig(method=method, add_final_noise=add_final_noise)
+        predict = {"mean": lambda z, t: np.full_like(z, 1e-3 * z.mean()),
+                   "zero": lambda z, t: np.zeros_like(z)}[denoiser]
+        args = (predict, shape, sched, cfg)
+        kwargs = dict(mask=random_mask(*shape[:2], 6), z_src=LatentGrid(np.full(shape, -0.0)),
+                      z_init=None if z_init is None else LatentGrid(np.full(shape, z_init)))
+        got = sample(*args, RngStream(6), **kwargs)
+        assert got.data.tobytes() == reference_sample(*args, RngStream(6), **kwargs).data.tobytes()
+
+    def test_pinned_sample_matches_digest(self):
+        if not recorded_platform():
+            pytest.skip("the digest was recorded on another CPU or numpy build")
+        shape, sched = (64, 64, 3), build_schedule("linear", 6, 1e-3, 0.2)
+        z_src = LatentGrid(RngStream(12).spawn("src").normal(shape))
+        edit = EditInstruction(id="e", gain=1.1, bias=0.3, target_scale=0.2)
+        out = sample(edit_denoiser(edit, z_src, sched), shape, sched, SamplerConfig(),
+                     RngStream(12), mask=random_mask(64, 64, 12), z_src=z_src)
+        assert hashlib.sha256(out.data.tobytes()).hexdigest() == GOLDEN_PINNED
 
     @pytest.mark.parametrize("mode", [None, "gate", "pin"])
     def test_draws_step_noise_in_blocks(self, sched200, monkeypatch, mode):

@@ -112,6 +112,7 @@ def ref_bayes_loss(prior, sched, n, rng):
 
 
 SCHED20 = build_schedule("linear", 20, 1e-3, 0.08)
+SCHED5 = build_schedule("linear", 5)  # a schedule of another T than zero_model's 10
 
 
 def mixture(d, seed=0):
@@ -368,7 +369,16 @@ class TestTrain:
          r"^prior dim 1 does not match model dim 2$"),
         (lambda s: train(zero_model(d=1, T=10), GMMPrior.scalar([1.0], [0.0], [1.0]), s, TINY_CFG),
          r"^schedule T=50 does not match model T=10$"),
-    ], ids=["embed-dim", "negative-steps", "batch-shape", "prior-dim", "schedule-T"])
+        # a T=5 schedule has no row for t = 8, and at t <= 5 the loss would pair
+        # the model's embedding with another schedule's noise level
+        (lambda s: loss_and_grad(zero_model(d=1, T=10), (np.zeros((1, 1)), np.array([8]),
+                                                         np.zeros((1, 1))), SCHED5),
+         r"^schedule T=5 does not match model T=10$"),
+        (lambda s: heldout_loss(zero_model(d=1, T=10), GMMPrior.scalar([1.0], [0.0], [1.0]),
+                                SCHED5, 16, RngStream(0)),
+         r"^schedule T=5 does not match model T=10$"),
+    ], ids=["embed-dim", "negative-steps", "batch-shape", "prior-dim", "schedule-T",
+            "loss-schedule-T", "heldout-schedule-T"])
     def test_rejects_inconsistent_inputs(self, sched50, call, message):
         with pytest.raises(ValueError, match=message):
             call(sched50)

@@ -138,6 +138,12 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
+def _child_key(key: int, part: int | str) -> int:
+    """The key ``spawn`` derives from ``key`` for one part of a derivation path."""
+    part = _fnv1a64(part) if isinstance(part, str) else int(part) & _MASK64
+    return _splitmix64(key ^ _splitmix64(part))
+
+
 class RngStream:
     """Deterministic random source: counter-based Philox uniforms + Box-Muller.
 
@@ -159,11 +165,7 @@ class RngStream:
 
     def spawn(self, *path: int | str) -> "RngStream":
         """Derive an independent stream; does not advance this stream."""
-        key = self.key
-        for p in path:
-            part = _fnv1a64(p) if isinstance(p, str) else int(p) & _MASK64
-            key = _splitmix64(key ^ _splitmix64(part))
-        return RngStream(0, _key=key)
+        return RngStream(0, _key=functools.reduce(_child_key, path, self.key))
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1)."""
@@ -211,13 +213,14 @@ def _box_muller(u: np.ndarray, n: int, use: np.ndarray | None = None) -> np.ndar
 # inline 324-value steps measured 4-8% slower at 2^15
 _NORMAL_BLOCK = 1 << 14
 # uniforms per block a pool's worker draws: each hand-over to a worker costs the
-# caller GIL switches, so a pooled block holds more rows (3 at ebm's 10k
-# Langevin chains, which measured about 10% faster than at 2^14), and still
-# 1 at a 128x128x3 session latent
-_POOL_BLOCK = 1 << 15
+# caller GIL switches, so a pooled block holds more rows (6 at ebm's 10k
+# Langevin chains, half the hand-overs of 2^15; 2^17 was faster again but
+# added 8% to ebm's peak RSS), and still 1 at a 128x128x3 session latent
+_POOL_BLOCK = 1 << 16
 _AHEAD = 2  # blocks a pool may draw before their rows are taken
-# per-row draws at which the noise moves to worker threads; ebm's 10k
-# Langevin chains measured faster pooled, drift's 324 values slower
+# per-row draws (or chains, for sample_chains' Box-Muller) at which the noise
+# moves to worker threads; ebm's 10k Langevin chains measured faster pooled,
+# drift's 324 values slower
 _POOL_MIN_VALUES = 1 << 13
 
 
@@ -246,7 +249,9 @@ def _uniform_rows(rng: RngStream, width: int, count: int):
 def _normal_block(key: int, position: int, rows: int, width: int, shape: tuple,
                   *use: np.ndarray) -> np.ndarray:
     """``_shaped_normals`` of the (rows, width) uniforms at ``position`` of
-    the stream keyed ``key``; a pure function, so a worker can run it."""
+    the stream keyed ``key``; a pure function, so a worker can run it.  A full
+    block is the masked form with every value used: it transforms in place."""
+    use = use or (np.ones(math.prod(shape), dtype=bool),)
     return _shaped_normals(_philox_at(key, position).random((rows, width)), shape, *use)
 
 
@@ -298,12 +303,13 @@ def _usable_cpus() -> int:
 
 @contextlib.contextmanager
 def _noise_pool(n: int):
-    """A 2-thread pool for ``_normal_rows`` when each step draws at least
-    ``_POOL_MIN_VALUES`` normals and a second CPU is usable, else None.
+    """A 2-thread pool for ``_normal_rows`` (and ``sample_chains``'
+    Box-Muller) when each step draws at least ``_POOL_MIN_VALUES`` normals
+    and a second CPU is usable, else None.
 
-    Leaving the block waits for the noise blocks still pending (at most
-    ``_AHEAD`` per stream) and joins the threads, so none outlives the
-    caller, on return or on raise.
+    Leaving the block waits for the tasks still pending (at most ``_AHEAD``
+    blocks per stream) and joins the threads, so none outlives the caller,
+    on return or on raise.
     """
     if n < _POOL_MIN_VALUES or _usable_cpus() < 2:
         yield None

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    LatentGrid, Mask, RngStream, _box_muller, _keyed_uniforms, _noise_pool, _normal_rows,
+    LatentGrid, Mask, RngStream, _box_muller, _child_key, _keyed_uniforms, _noise_pool,
+    _normal_rows,
 )
 from .grid import masked_combine  # noqa: F401  perfbench's tracer wraps sampler.masked_combine
 from .schedule import NoiseSchedule
@@ -355,8 +356,10 @@ def sample_chains(
     from ``rng`` (chain index as the derivation path), so results do not
     depend on how the batch is partitioned or parallelized.  One numpy
     Philox, re-keyed per chain (``grid._keyed_uniforms``), draws the streams
-    a block of chains at a time, bit-identical to drawing each stream on
-    its own.
+    a block of chains at a time on the calling thread, bit-identical to
+    drawing each stream on its own.  Box-Muller then turns each block of
+    chains' uniforms into normals in the same table, on ``grid._noise_pool``
+    from ``grid._POOL_MIN_VALUES`` chains; the pool is closed before this returns.
 
     Chains start at the exact noised marginal of the scalar mixture prior
     ``prior_init``: sqrt(abar_T) z_0 + sqrt(1-abar_T) g with z_0 ~ prior.
@@ -369,17 +372,25 @@ def sample_chains(
     if prior_init.dim != 1:
         raise ValueError("prior-matched init requires a scalar (1x1x1) prior")
     draws = sched.T + 2  # z_0's normal, the start's normal, then one per step
-    noise = np.empty((draws, n))  # step-major: each step reads one contiguous row
+    width = 2 * ((draws + 1) // 2)
+    noise = np.empty((width, n))  # step-major: each step reads one contiguous row
     comp_u = np.empty(n)
-    keys = (rng.spawn("chain", i).key for i in range(n))
-    blocks = _keyed_uniforms(keys, 1 + 2 * ((draws + 1) // 2), _CHAIN_BLOCK)
+    chains = RngStream(0, _key=_child_key(rng.key, "chain"))  # the shared prefix, once
+    blocks = _keyed_uniforms((chains.spawn(i).key for i in range(n)), 1 + width, _CHAIN_BLOCK)
     for lo, u in zip(range(0, n, _CHAIN_BLOCK), blocks):
         hi = lo + len(u)
         comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
-        noise[:, lo:hi] = _box_muller(u[:, 1:], draws).T
+        noise[:, lo:hi] = u[:, 1:].T  # uniforms now, normals once transformed
+
+    def transform(lo):  # each column of a block of chains: uniforms in, normals out
+        u = noise[:, lo : lo + _CHAIN_BLOCK]
+        u[:draws] = _box_muller(u.T, draws).T
+
+    with _noise_pool(n) as pool:  # each result is read, so a worker's exception re-raises
+        list((pool.map if pool else map)(transform, range(0, n, _CHAIN_BLOCK)))
     z0 = prior_init._place(comp_u, noise[0][:, None])[:, 0]
     z = sched._jump(sched.T, z0, noise[1])
-    return _reverse(chain_denoiser, z, iter(noise[2:]), sched, cfg)
+    return _reverse(chain_denoiser, z, iter(noise[2:draws]), sched, cfg)
 
 
 def langevin_chains(

@@ -16,6 +16,7 @@ from latentedit.grid import (
     Mask,
     RngStream,
     _NORMAL_BLOCK,
+    _POOL_BLOCK,
     _POOL_MIN_VALUES,
     _box_muller,
     _keyed_uniforms,
@@ -30,6 +31,20 @@ from latentedit.grid import (
     write_grid,
     write_mask,
 )
+
+
+# rows a pooled block holds at n = _POOL_MIN_VALUES + 1 (width 2 mod 4): an odd count
+ROWS_ODD = _POOL_BLOCK // (_POOL_MIN_VALUES + 2)
+assert ROWS_ODD % 2 == 1 and (_POOL_MIN_VALUES + 2) % 4 == 2
+
+
+@st.composite
+def uniform_blocks(draw):
+    """(n, u): 1-4 rows of 2 * ceil(n / 2) uniforms, some exactly 0.0 or a few ulp below 1."""
+    n, rows = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    edges = st.sampled_from([0.0, 1.0 - 2**-53, 1.0 - 2**-52, 1.0 - 3 * 2**-53])
+    values = st.one_of(st.floats(0.0, 1.0, exclude_max=True), edges)
+    return n, draw(arrays(np.float64, (rows, 2 * ((n + 1) // 2)), elements=values))
 
 
 class TestLatentGrid:
@@ -126,11 +141,14 @@ class TestRngStream:
     @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=False, k=0)
     @example(n=1, count=2 * _NORMAL_BLOCK + 3, seed=0, pooled=True, k=1)
     @example(n=_NORMAL_BLOCK + 1, count=3, seed=1, pooled=False, k=2)
-    @example(n=_POOL_MIN_VALUES, count=20, seed=2, pooled=True, k=3)  # 4 rows a block: 5 blocks
+    # _POOL_BLOCK // n rows a pooled block: several blocks
+    @example(n=_POOL_MIN_VALUES, count=3 * _POOL_BLOCK // _POOL_MIN_VALUES - 4, seed=2,
+             pooled=True, k=3)
     @example(n=0, count=3, seed=3, pooled=False, k=0)  # an empty Langevin state
-    # odd n, width 2 mod 4: 3-row pooled blocks that start at offsets 0, 2, 0, 2
-    # mod 4 of a Philox counter's 4 doubles, then at 3, 1, 3
-    @example(n=_POOL_MIN_VALUES + 1, count=10, seed=4, pooled=True, k=0)
+    # odd n, width 2 mod 4, an odd row count a pooled block: blocks that start at
+    # offsets 0, 2, 0, 2 mod 4 of a Philox counter's 4 doubles, then at 3, 1, 3
+    @example(n=_POOL_MIN_VALUES + 1, count=4 * ROWS_ODD + 2, seed=4, pooled=True, k=0)
+    @example(n=_POOL_MIN_VALUES + 1, count=3 * ROWS_ODD - 1, seed=5, pooled=True, k=3)
     @example(n=10_001, count=7, seed=5, pooled=True, k=3)
     @settings(max_examples=40, deadline=None)
     def test_normal_rows_equal_successive_normal_calls(self, n, count, seed, pooled, k):
@@ -159,12 +177,27 @@ class TestRngStream:
         want = np.where(use, _box_muller(u.copy(), n), 0.0)
         assert _box_muller(u.copy(), n, use).tobytes() == want.tobytes()
 
-    # odd n: 1-row inline blocks and 3-row pooled ones
-    @pytest.mark.parametrize("pooled, full", [(False, {0, 9}), (True, {0, 1, 2, 9})])
+    @given(block=uniform_blocks())
+    @example(block=(1, np.array([[0.0, 1.0 - 2**-53]])))  # n = 1: a cosine and no sine
+    @example(block=(7, np.full((2, 8), 1.0 - 2**-53)))  # odd n; the largest double below 1
+    @example(block=(8, np.tile([0.0, 1.0 - 2**-52, 0.5, 1.0 - 2**-51], (4, 2))))  # even n
+    @settings(max_examples=60, deadline=None)
+    def test_box_muller_in_place_full_form_equals_the_allocating_one(self, block):
+        # a pooled full block is the masked form with every value used
+        n, u = block
+        want = _box_muller(u.copy(), n)
+        assert _box_muller(u.copy(), n, np.ones(n, dtype=bool)).tobytes() == want.tobytes()
+
+    # odd n: 1-row inline blocks, and pooled ones of ROWS_ODD rows: two whole
+    # blocks, an inner one and a last one of 3 rows
+    @pytest.mark.parametrize("pooled, full", [
+        (False, {0, 2 * ROWS_ODD + 2}),
+        (True, {*range(ROWS_ODD), *range(2 * ROWS_ODD, 2 * ROWS_ODD + 3)}),
+    ])
     def test_normal_rows_with_use_transform_inner_blocks_only_where_used(self, pooled, full):
         # the first and last blocks are whole; the rows, the stream's position
         # and its next draw are those of successive normal calls
-        n, count = _POOL_MIN_VALUES + 1, 10
+        n, count = _POOL_MIN_VALUES + 1, 2 * ROWS_ODD + 3
         use = RngStream(8).uniform((n,)) < 0.3
         rows, calls = RngStream(9), RngStream(9)
         with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
@@ -186,7 +219,9 @@ class TestRngStream:
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_normal_rows_blocks_are_larger_pooled(self, pooled):
-        # ebm's 10k Langevin chains: 1 row a block inline, 3 a pooled block
+        # ebm's 10k Langevin chains: 1 row a block inline, _POOL_BLOCK // 10_000 pooled
+        rows, count = _POOL_BLOCK // 10_000, 13
+        assert 1 < rows and 2 * rows < count  # two full pooled blocks, then the rest
         rng, shapes = RngStream(4), []
         with ThreadPoolExecutor(2) if pooled else contextlib.nullcontext() as pool:
             if pooled:  # a pooled block is a task (key, position, rows, width, shape)
@@ -195,10 +230,12 @@ class TestRngStream:
             else:
                 uniform = rng.uniform
                 rng.uniform = lambda shape: shapes.append(shape) or uniform(shape)
-            rows = list(_normal_rows(rng, (10_000,), 13, pool))
-        assert shapes == ([(3, 10_000)] * 4 + [(1, 10_000)] if pooled else [(1, 10_000)] * 13)
+            got = list(_normal_rows(rng, (10_000,), count, pool))
+        full, rest = divmod(count, rows)
+        assert shapes == ([(rows, 10_000)] * full + [(rest, 10_000)] if pooled
+                          else [(1, 10_000)] * count)
         calls = RngStream(4)
-        assert all(np.array_equal(row, calls.normal((10_000,))) for row in rows)
+        assert all(np.array_equal(row, calls.normal((10_000,))) for row in got)
 
     def test_gaussian_moments(self):
         g = LatentGrid(RngStream(7).normal((64, 64, 4)))

@@ -20,7 +20,9 @@ from latentedit.denoiser import (
     gmm_chain_denoiser,
     gmm_denoiser,
 )
-from latentedit.grid import _POOL_MIN_VALUES, LatentGrid, Mask, RngStream, masked_combine
+from latentedit.grid import (
+    _POOL_BLOCK, _POOL_MIN_VALUES, LatentGrid, Mask, RngStream, masked_combine,
+)
 from latentedit.sampler import (
     DivergenceError,
     LangevinConfig,
@@ -734,6 +736,38 @@ class TestSample:
         assert np.array_equal(sample_chains(*args, prior_init=prior),
                               reference_chains(*args, prior_init=prior))
 
+    def test_pooled_chains_equal_reference_and_leave_no_thread(self, monkeypatch):
+        # an odd T gives an odd draw count: each chain's last uniform is drawn, not used
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)  # pooled even on one CPU
+        sched = build_schedule("linear", 5, 1e-3, 0.2)
+        prior = GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])
+        args = (gmm_chain_denoiser(prior, sched), _POOL_MIN_VALUES + 1, sched, SamplerConfig(),
+                RngStream(6))
+        box_muller, threads = grid._box_muller, []
+        monkeypatch.setattr("latentedit.sampler._box_muller", lambda *a: threads.append(
+            threading.get_ident()) or box_muller(*a))
+        before = threading.active_count()
+        got = sample_chains(*args, prior_init=prior)
+        assert threading.active_count() == before
+        assert threads and threading.get_ident() not in threads
+        assert got.tobytes() == reference_chains(*args, prior_init=prior).tobytes()
+
+        class Boom(Exception):
+            pass
+
+        def second_call_fails(u, n):
+            threads.append(threading.get_ident())
+            if len(threads) == 2:
+                raise Boom("second block")
+            return box_muller(u, n)
+
+        threads.clear()
+        monkeypatch.setattr("latentedit.sampler._box_muller", second_call_fails)
+        with pytest.raises(Boom, match="second block"):
+            sample_chains(*args, prior_init=prior)
+        assert threading.get_ident() not in threads
+        assert threading.active_count() == before
+
     def test_chains_build_no_generator_per_chain(self, sched50, monkeypatch):
         built = []
         philox = np.random.Philox
@@ -781,11 +815,11 @@ class TestSample:
         calls = []
         box_muller = grid._box_muller
 
-        def second_call_fails(u, n):
+        def second_call_fails(u, n, *use):
             calls.append(n)
             if len(calls) == 2:
                 raise Boom("second block")
-            return box_muller(u, n)
+            return box_muller(u, n, *use)
 
         monkeypatch.setattr(grid, "_box_muller", second_call_fails)
         sched = build_schedule("linear", 6, 1e-3, 0.2)
@@ -794,7 +828,8 @@ class TestSample:
             sample(lambda z, t: np.zeros_like(z), POOLED_SHAPE, sched, SamplerConfig(),
                    RngStream(0))
         assert threading.active_count() == before
-        # langevin_chains draws through the same pool: 3 rows a block at this size
+        # langevin_chains draws through the same pool: 9 steps make at least 2 blocks
+        assert _POOL_BLOCK // (_POOL_MIN_VALUES + 2) < 9
         calls.clear()
         with pytest.raises(Boom, match="second block"):
             langevin_chains(UNIT_ENERGY.grad_chain, LangevinConfig(step_size=0.1, steps=9),
@@ -824,11 +859,26 @@ class TestSample:
                z_src=z_src)
         langevin_chains(UNIT_ENERGY.grad_chain, LangevinConfig(step_size=0.1, steps=9),
                         np.zeros(_POOL_MIN_VALUES + 1), RngStream(0))
+        chain_workers = []  # sample_chains' Box-Muller runs on the pool too
+        box_muller = grid._box_muller
+        monkeypatch.setattr("latentedit.sampler._box_muller", lambda *a: chain_workers.append(
+            threading.get_ident()) or box_muller(*a))
+        sched = build_schedule("linear", 5, 1e-3, 0.2)
+        n, seen = _POOL_MIN_VALUES + 1, len(calls)
+        sample_chains(gmm_chain_denoiser(UNIT_ENERGY.prior, sched), n, sched, SamplerConfig(),
+                      RngStream(0), prior_init=UNIT_ENERGY.prior)
+        assert [name for name, _ in calls[seen:]] == ["spawn"] * n  # one spawn a chain
         caller = threading.get_ident()
         assert {"spawn", "__post_init__"} <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {caller}
-        assert len(workers) == 7 + 6 + 3  # 1-row blocks: z_T + 6 steps, 6 pin steps; 3 x 3 Langevin
-        assert caller not in workers
+
+        def blocks(count, width):  # pooled blocks of count rows
+            return -(-count // (_POOL_BLOCK // width))
+
+        width = np.prod(POOLED_SHAPE)  # z_T + 6 steps, 6 pin steps, then 9 Langevin steps
+        assert len(workers) == blocks(7, width) + blocks(6, width) + blocks(9, n + 1)
+        assert len(chain_workers) == -(-n // _CHAIN_BLOCK)
+        assert caller not in workers + chain_workers
 
     def test_chain_count_validation(self, sched200):
         prior = GMMPrior.scalar([1.0], [0.0], [1.0])

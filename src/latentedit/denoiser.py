@@ -42,8 +42,9 @@ class GMMPrior:
             raise ValueError("component weights must be positive")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_TOL}, got {float(w.sum())!r}")
-        if (s < 0).any() or not np.isfinite(s).all():
-            raise ValueError("scales must be finite and nonnegative")
+        with np.errstate(over="ignore"):  # the variances are squares: s = 1e200 is refused
+            if (s < 0).any() or not np.isfinite(s * s).all():
+                raise ValueError("scales must be finite and nonnegative with a finite square")
         shape = self.means[0].shape
         if any(m.shape != shape for m in self.means):
             raise ValueError("all component means must share dimensions")
@@ -211,6 +212,13 @@ def _gmm_score_flat(
     # for the ebm priors' K = 1, 2; from 8 on it uses interleaved accumulators
     total = (functools.reduce(np.add, resp) if len(resp) < 8
              else np.stack(resp, axis=1).sum(axis=1))
+    if len(resp) < 3:
+        # einsum's sum over k starts at 0.0 and adds the terms in order below
+        # 3 components; the same sum, column by column, is faster for K = 1, 2
+        pull = np.zeros((m, dim))
+        for k, col in enumerate(resp):
+            pull += (col / total / variances[k])[:, None] * diff[:, k, :]
+        return np.negative(pull, out=pull)
     weighted = np.empty((m, len(resp)))
     for k, col in enumerate(resp):
         np.divide(col / total, variances[k], out=weighted[:, k])
@@ -357,8 +365,9 @@ class GMMEnergy:
     independent scalar chains."""
 
     def __init__(self, prior: GMMPrior):
-        if (prior.scales <= 0).any():
-            raise ValueError("energy requires strictly positive component scales")
+        if (prior._variances <= 0).any():  # the score divides by them: s = 1e-200 is refused
+            raise ValueError("energy requires strictly positive component scales "
+                             "with a positive square")
         self.prior = prior
 
     def value(self, z: LatentGrid) -> float:

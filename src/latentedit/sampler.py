@@ -357,9 +357,10 @@ def sample_chains(
     depend on how the batch is partitioned or parallelized.  One numpy
     Philox, re-keyed per chain (``grid._keyed_uniforms``), draws the streams
     a block of chains at a time on the calling thread, bit-identical to
-    drawing each stream on its own.  Box-Muller then turns each block of
-    chains' uniforms into normals in the same table, on ``grid._noise_pool``
-    from ``grid._POOL_MIN_VALUES`` chains; the pool is closed before this returns.
+    drawing each stream on its own.  As soon as a block is drawn, Box-Muller
+    turns its uniforms into normals in the same table: on ``grid._noise_pool``
+    from ``grid._POOL_MIN_VALUES`` chains, while the next blocks are drawn,
+    else before the next block.  The pool is closed before this returns.
 
     Chains start at the exact noised marginal of the scalar mixture prior
     ``prior_init``: sqrt(abar_T) z_0 + sqrt(1-abar_T) g with z_0 ~ prior.
@@ -377,17 +378,23 @@ def sample_chains(
     comp_u = np.empty(n)
     chains = RngStream(0, _key=_child_key(rng.key, "chain"))  # the shared prefix, once
     blocks = _keyed_uniforms((chains.spawn(i).key for i in range(n)), 1 + width, _CHAIN_BLOCK)
-    for lo, u in zip(range(0, n, _CHAIN_BLOCK), blocks):
-        hi = lo + len(u)
-        comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
-        noise[:, lo:hi] = u[:, 1:].T  # uniforms now, normals once transformed
 
     def transform(lo):  # each column of a block of chains: uniforms in, normals out
         u = noise[:, lo : lo + _CHAIN_BLOCK]
         u[:draws] = _box_muller(u.T, draws).T
 
-    with _noise_pool(n) as pool:  # each result is read, so a worker's exception re-raises
-        list((pool.map if pool else map)(transform, range(0, n, _CHAIN_BLOCK)))
+    with _noise_pool(n) as pool:
+        pending = []
+        for lo, u in zip(range(0, n, _CHAIN_BLOCK), blocks):
+            hi = lo + len(u)
+            comp_u[lo:hi] = u[:, 0]  # the component uniform precedes the normals
+            noise[:, lo:hi] = u[:, 1:].T  # uniforms now, normals once transformed
+            if pool is None:
+                transform(lo)
+            else:  # transformed while the next blocks are drawn, into disjoint columns
+                pending.append(pool.submit(transform, lo))
+        for task in pending:  # each result is read, so a worker's exception re-raises
+            task.result()
     z0 = prior_init._place(comp_u, noise[0][:, None])[:, 0]
     z = sched._jump(sched.T, z0, noise[1])
     return _reverse(chain_denoiser, z, iter(noise[2:draws]), sched, cfg)
@@ -408,14 +415,22 @@ def langevin_chains(
     ``sample`` (``grid._noise_pool``: a worker draws each block from a Philox
     at the block's counter) when the state holds at least
     ``grid._POOL_MIN_VALUES`` values.  A non-finite state raises
-    DivergenceError naming the step; the pool is closed first.
+    DivergenceError naming the step; the pool is closed first.  Each step
+    writes into the state buffer that does not hold z, as ``_reverse`` does,
+    so no step allocates a state and a gradient that is z itself is safe.
     """
     z = np.asarray(init, dtype=np.float64).copy()
+    spare, tmp = np.empty(z.shape), np.empty(z.shape)
+    half_step = 0.5 * cfg.step_size
     # overflow on the way to a non-finite state is reported by DivergenceError
     with np.errstate(over="ignore", invalid="ignore"), _noise_pool(z.size) as pool:
         noise = _normal_rows(rng, z.shape, cfg.steps, pool)
         for i in range(cfg.steps):
-            z = z - 0.5 * cfg.step_size * grad_chain(z) + cfg.noise_at(i) * next(noise)
-            if not np.isfinite(z).all():
+            # z - (step / 2) * grad + noise_i * xi, in that order
+            out = np.subtract(z, np.multiply(half_step, grad_chain(z), out=tmp), out=spare)
+            np.add(out, np.multiply(cfg.noise_at(i), next(noise), out=tmp), out=out)
+            spare, z = z, out
+            # reductions, not isfinite(z).all(): no temporary the size of z
+            if z.size and not (np.isfinite(z.max()) and np.isfinite(z.min())):
                 raise DivergenceError(f"langevin state became non-finite at step {i + 1}")
     return z

@@ -663,6 +663,16 @@ class TestConfigValidation:
                                                     {**UNIT_PRIOR, "label": "prior_0"}]}}},
          r"^config error: config\.bench\.ebm\.priors\[1\]\.label: "
          r"an earlier prior is already labelled 'prior_0'\n$"),
+        # a scale whose square overflows, or is 0.0 though the scale is positive
+        ("bench-ebm", {"bench": {"ebm": {"priors": [{**UNIT_PRIOR, "scales": [1e200]}]}}},
+         r"^config error: config\.bench\.ebm\.priors\[0\]: "
+         r"scales must be finite and nonnegative with a finite square\n$"),
+        ("train", {"training": {"prior": {**UNIT_PRIOR, "scales": [1e200]}, "steps": 2}},
+         r"^config error: config\.training\.prior: "
+         r"scales must be finite and nonnegative with a finite square\n$"),
+        ("bench-ebm", {"bench": {"ebm": {"priors": [{**UNIT_PRIOR, "scales": [1e-200]}]}}},
+         r"^config error: config\.bench\.ebm\.priors\[0\]: "
+         r"energy requires strictly positive component scales with a positive square\n$"),
     ], ids=["nan-grid", "bias-file-shape", "gain-length", "drift-steps", "ebm-chains",
             "strategies-not-list", "priors-not-list", "strategies-empty", "odd-fixture",
             "locality-mask-shape", "locality-edit-mask",
@@ -678,7 +688,9 @@ class TestConfigValidation:
             "ebm-chains-beyond-int64", "hidden-beyond-int64", "langevin-steps-beyond-int64",
             "schedule-T-beyond-int64", "seed-beyond-int64", "empty-gain", "locality-empty-gain",
             "hidden-over-bound", "ebm-chains-over-bound", "schedule-first-alpha-is-one",
-            "schedule-T-over-bound", "ebm-T-and-chains-over-bound", "ebm-label-repeated"])
+            "schedule-T-over-bound", "ebm-T-and-chains-over-bound", "ebm-label-repeated",
+            "ebm-scale-square-overflows", "train-prior-scale-square-overflows",
+            "ebm-scale-square-is-zero"])
     def test_bad_input_exits_2_naming_field(self, workspace, capsys, command, change, pattern):
         (workspace / "nan.grid").write_text("GRID 1 2 1\n0.5\nnan\n")
         (workspace / "huge.grid").write_text("GRID 100000 100000 100000\n")

@@ -217,7 +217,10 @@ class TestPrior:
         ([], 0, [], "at least one component"),
         ([1.0], 1, [-1.0], "finite and nonnegative"),
         ([1.0], 1, [np.inf], "finite and nonnegative"),
-    ], ids=["means-count", "scales-count", "no-components", "negative-scale", "inf-scale"])
+        ([1.0], 1, [1e200], "finite and nonnegative with a finite square"),
+        ([1.0], 1, [np.nan], "finite and nonnegative"),
+    ], ids=["means-count", "scales-count", "no-components", "negative-scale", "inf-scale",
+            "scale-square-overflows", "nan-scale"])
     def test_rejects_malformed_tables(self, weights, n_means, scales, message):
         means = tuple(LatentGrid.constant(0.0, 1, 1, 1) for _ in range(n_means))
         with pytest.raises(ValueError, match=message):
@@ -515,6 +518,25 @@ class TestScoreBitExact:
             want = reference_score(z, mean_mat, weights, variances)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])  # both sides of the einsum cut at K = 3
+    def test_ebm_size_with_signed_zeros_overflow_and_subnormals(self, k, d):
+        # ebm's 10,000 chains; the first coordinate of every mean is 0.0, so a
+        # point at -0.0 there gives a zero whose sign the sum over k sets
+        z, mean_mat, weights, variances = random_mixture(10 * k + d, 10_000, k, d)
+        mean_mat[:, 0] = 0.0
+        gen = np.random.default_rng(10 * k + d)
+        special = np.concatenate([[0.0, -0.0, 1e200, -1e200, 5e-324, -5e-324, 1e-310, -2e-308],
+                                  mean_mat.ravel()])
+        at = gen.random(z.shape) < 0.3
+        z[at] = gen.choice(special, int(at.sum()))
+        z[:k] = mean_mat  # points at a mean
+        got = _gmm_score_flat(z, mean_mat, weights, variances)
+        with np.errstate(over="ignore"):
+            want = reference_score(z, mean_mat, weights, variances)
+        assert got.tobytes() == want.tobytes()
+        assert (np.signbit(got) & (got == 0.0)).any() and (got == 0.0).any()
+
 
 class TestGMMEnergy:
     def test_gradient_matches_finite_differences(self):
@@ -537,6 +559,14 @@ class TestGMMEnergy:
     def test_requires_positive_scales(self):
         with pytest.raises(ValueError, match="positive"):
             GMMEnergy(scalar_prior([1.0], [0.0], [0.0]))
+
+    def test_requires_scales_with_a_positive_square(self):
+        # 1e-200 is positive, but its square, the variance the score divides by, is 0.0
+        prior = scalar_prior([0.5, 0.5], [-1.0, 1.0], [1.0, 1e-200])
+        assert prior._variances[1] == 0.0
+        with pytest.raises(ValueError, match="with a positive square"):
+            GMMEnergy(prior)
+        GMMEnergy(scalar_prior([1.0], [0.0], [1e-150]))  # square 1e-300, positive
 
     def test_gradient_past_score_overflow(self):
         # beyond |z| ~ 1e154 ssq overflows for every component, and the max

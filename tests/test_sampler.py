@@ -1,8 +1,11 @@
 """Forward noising, reverse stepping, masking modes, and Langevin iteration."""
 
+import contextlib
 import hashlib
+import sys
 import threading
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -768,6 +771,39 @@ class TestSample:
         assert threading.get_ident() not in threads
         assert threading.active_count() == before
 
+    def test_pooled_chains_submit_each_block_as_soon_as_it_is_drawn(self, monkeypatch):
+        # each block's Box-Muller goes to the pool before the next block's keys are spawned
+        spawned, submitted = [], []
+        spawn = RngStream.spawn
+        monkeypatch.setattr(RngStream, "spawn",
+                            lambda self, *path: spawned.append(path) or spawn(self, *path))
+        pool_for = grid._noise_pool
+
+        @contextlib.contextmanager
+        def recording_pool(n):
+            with pool_for(n) as pool:
+                def submit(*task):
+                    submitted.append(len(spawned))
+                    return pool.submit(*task)
+
+                yield SimpleNamespace(submit=submit)
+
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: 2)  # pooled even on one CPU
+        monkeypatch.setattr("latentedit.sampler._noise_pool", recording_pool)
+        sched = build_schedule("linear", 4, 1e-3, 0.2)
+        prior = GMMPrior.scalar([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])
+        n = _POOL_MIN_VALUES + 5
+        args = (gmm_chain_denoiser(prior, sched), n, sched, SamplerConfig(), RngStream(9))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the caller and both workers share the table, interleaved
+        try:
+            got = sample_chains(*args, prior_init=prior)
+        finally:
+            sys.setswitchinterval(interval)
+        assert submitted == [min(n, hi) for hi in range(_CHAIN_BLOCK, n + _CHAIN_BLOCK,
+                                                        _CHAIN_BLOCK)]
+        assert got.tobytes() == reference_chains(*args, prior_init=prior).tobytes()
+
     def test_chains_build_no_generator_per_chain(self, sched50, monkeypatch):
         built = []
         philox = np.random.Philox
@@ -941,6 +977,24 @@ class TestLangevin:
             ref = ref - 0.5 * cfg.step_size * energy.grad_chain(ref) + cfg.noise_at(i) * xi
         assert z.tobytes() == ref.tobytes()
         assert rng.position == ref_rng.position
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_state_returns_an_empty_array(self, shape):
+        z = langevin_chains(UNIT_ENERGY.grad_chain, LangevinConfig(step_size=0.1, steps=3),
+                            np.zeros(shape), RngStream(0))
+        assert z.shape == shape and z.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [257, _POOL_MIN_VALUES + 1])  # inline, then pooled
+    def test_gradient_that_is_its_input_equals_per_step_reference(self, n):
+        # E(z) = z^2 / 2 again, but the gradient returned is the state array itself
+        cfg = LangevinConfig(step_size=0.05, noise_scale=np.linspace(0.3, 0.1, 9), steps=9)
+        init = RngStream(85).normal((n,))
+        z = langevin_chains(lambda state: state, cfg, init, RngStream(86))
+        ref, ref_rng = init.copy(), RngStream(86)
+        for i in range(cfg.steps):
+            ref = ref - 0.5 * cfg.step_size * ref + cfg.noise_at(i) * ref_rng.normal((n,))
+        assert z.tobytes() == ref.tobytes()
+        assert init.tobytes() == RngStream(85).normal((n,)).tobytes()  # init is not written
 
     def test_pooled_divergence_reports_the_step_and_leaves_no_thread(self):
         cfg = LangevinConfig(step_size=1e8, noise_scale=0.0, steps=500)

@@ -177,53 +177,55 @@ def compose_edits(edits, like: LatentGrid) -> EditInstruction:
     return composed
 
 
-def _gmm_score_flat(
+def _gmm_pull(
     z: np.ndarray,
     mean_mat: np.ndarray,
     weights: np.ndarray,
     variances: np.ndarray,
 ) -> np.ndarray:
-    """grad log of sum_k w_k N(z; mean_k, v_k I) for a batch of flat points.
+    """The pull, minus the score: -grad log of sum_k w_k N(z; mean_k, v_k I)
+    = sum_k r_k (z - mean_k) / v_k with responsibilities r_k, for a batch of
+    flat points.  Callers scale it or return it; none negates it.
 
-    z is (m, D), mean_mat (K, D), variances (K,).  Responsibilities are
-    computed in log space with max subtraction.  Where ssq overflows for
-    every component (|z| beyond about 1e154), the components tied at the
-    peak share the weight instead of giving NaN.
+    z is (m, D), mean_mat (K, D), variances (K,).  Each component k works in
+    place on its own contiguous (m, D) difference and (m,) vectors, by the
+    same operations in the same order as the (m, K, D) form over axis k, so
+    the bits are that form's.  Responsibilities are computed in log space
+    with max subtraction.  Where ssq overflows for every component (|z|
+    beyond about 1e154), the components tied at the peak share the weight
+    instead of giving NaN.
     """
     m, dim = z.shape
-    diff = np.empty((m, len(weights), dim))
-    for k, mean in enumerate(mean_mat):
-        np.subtract(z, mean, out=diff[:, k, :])
-    ssq = np.einsum("mkd,mkd->mk", diff, diff)
-    # Per component (column), not over an axis of length K: the same
-    # operations in the same order, so bit-identical to the (m, K) form.
+    diffs = [np.subtract(z, mean) for mean in mean_mat]
+    with np.errstate(over="ignore"):  # as einsum, whose one product this is at D = 1
+        cols = [np.multiply(d, d).reshape(m) if dim == 1 else np.einsum("md,md->m", d, d)
+                for d in diffs]
     const = np.log(weights) - 0.5 * dim * np.log(2.0 * np.pi * variances)
-    log_resp = [const[k] - ssq[:, k] / (2.0 * variances[k]) for k in range(len(weights))]
-    peak = log_resp[0]
-    for col in log_resp[1:]:
-        peak = np.maximum(peak, col)
+    for k, col in enumerate(cols):  # ssq -> log r_k + log of the sum
+        np.subtract(const[k], np.divide(col, 2.0 * variances[k], out=col), out=col)
+    peak = functools.reduce(np.maximum, cols)
+    # where ssq overflowed for every component, every column is -inf
+    far = np.isneginf(peak) if peak.size and peak.min() == -np.inf else None
     with np.errstate(invalid="ignore"):  # -inf - -inf, replaced just below
-        resp = [np.exp(col - peak) for col in log_resp]
-    if peak.size and peak.min() == -np.inf:
-        # ssq overflowed for every component of some point: exp(-inf - -inf)
-        # is NaN there, so the components at the peak get weight 1 (= exp(0))
-        resp = [np.where(col == peak, 1.0, r) for col, r in zip(log_resp, resp)]
+        for col in cols:  # at K = 1 col is peak; elementwise, so in place is safe
+            np.exp(np.subtract(col, peak, out=col), out=col)
+    if far is not None:  # exp(-inf - -inf) is NaN there: the tied components get exp(0)
+        for col in cols:
+            col[far] = 1.0
     # below 8 terms numpy's row sum is sequential, as reduce is, and faster
     # for the ebm priors' K = 1, 2; from 8 on it uses interleaved accumulators
-    total = (functools.reduce(np.add, resp) if len(resp) < 8
-             else np.stack(resp, axis=1).sum(axis=1))
-    if len(resp) < 3:
-        # einsum's sum over k starts at 0.0 and adds the terms in order below
-        # 3 components; the same sum, column by column, is faster for K = 1, 2
-        pull = np.zeros((m, dim))
-        for k, col in enumerate(resp):
-            pull += (col / total / variances[k])[:, None] * diff[:, k, :]
-        return np.negative(pull, out=pull)
-    weighted = np.empty((m, len(resp)))
-    for k, col in enumerate(resp):
-        np.divide(col / total, variances[k], out=weighted[:, k])
-    # not a sum over k: einsum's order over k differs from it at D = 1, K >= 3
-    return -np.einsum("mk,mkd->md", weighted, diff)
+    total = (functools.reduce(np.add, cols) if len(cols) < 8
+             else np.stack(cols, axis=1).sum(axis=1))
+    for k, col in enumerate(cols):  # at K = 1 total is col: elementwise again
+        np.divide(np.divide(col, total, out=col), variances[k], out=col)
+    if len(cols) >= 3:  # einsum's order over k differs from a sum over k at D = 1
+        return np.einsum("mk,mkd->md", np.stack(cols, axis=1), np.stack(diffs, axis=1))
+    # einsum's sum over k starts at 0.0 and adds the terms in order below 3
+    # components; the same sum, in place on the differences
+    pull = np.add(0.0, np.multiply(cols[0][:, None], diffs[0], out=diffs[0]), out=diffs[0])
+    if len(cols) == 2:
+        np.add(pull, np.multiply(cols[1][:, None], diffs[1], out=diffs[1]), out=pull)
+    return pull
 
 
 def gmm_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
@@ -237,8 +239,10 @@ def gmm_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.
         raise ValueError(f"points {z.shape} do not match prior dim {prior.dim}")
     abar = sched.alpha_bar[sched._index(t)]
     variances = abar * prior._variances + (1.0 - abar)
-    score = _gmm_score_flat(z, sched._sqrt_abar[t] * prior.mean_matrix, prior.weights, variances)
-    return -sched._sqrt_1m_abar[t] * score
+    pull = _gmm_pull(z, sched._sqrt_abar[t] * prior.mean_matrix, prior.weights, variances)
+    # sqrt(1 - abar) * pull: the bits of -sqrt(1 - abar) * score, as IEEE
+    # negation is exact and multiplication sign-symmetric
+    return np.multiply(sched._sqrt_1m_abar[t], pull, out=pull)
 
 
 def gmm_chain_eps(z: np.ndarray, t: int, prior: GMMPrior, sched: NoiseSchedule) -> np.ndarray:
@@ -381,6 +385,8 @@ class GMMEnergy:
             - ssq[0] / (2.0 * variances)
         )
         peak = log_comp.max()
+        if peak == -np.inf:  # ssq overflowed for every component: -inf - -inf would be NaN
+            return math.inf
         return float(-(peak + np.log(np.exp(log_comp - peak).sum())))
 
     def grad_chain(self, z: np.ndarray) -> np.ndarray:
@@ -389,7 +395,7 @@ class GMMEnergy:
         if self.prior.dim != 1:
             raise ValueError("chain gradients require a scalar (1x1x1) prior")
         z = np.asarray(z, dtype=np.float64)
-        score = _gmm_score_flat(
+        pull = _gmm_pull(
             z.reshape(-1, 1), self.prior.mean_matrix, self.prior.weights, self.prior._variances
         )
-        return -score.reshape(z.shape)
+        return pull.reshape(z.shape)

@@ -13,7 +13,7 @@ from latentedit.denoiser import (
     EditInstruction,
     GMMEnergy,
     GMMPrior,
-    _gmm_score_flat,
+    _gmm_pull,
     bayes_loss_estimate,
     compose_edits,
     edit_conditional_eps,
@@ -67,10 +67,10 @@ def numerical_log_q_gradient(z: LatentGrid, t, prior, sched, step=1e-4):
 
 
 def reference_score(z, mean_mat, weights, variances):
-    """``_gmm_score_flat`` as it was written over the (m, K) axis, kept as
-    the bit-exact oracle for the per-component form.  Where ssq overflows
-    for every component of a point, the components tied at the peak share
-    the weight, as in ``_gmm_score_flat``."""
+    """The score as it was written over the (m, K) axis, kept as the
+    bit-exact oracle for the per-component ``_gmm_pull``, which is its
+    negation.  Where ssq overflows for every component of a point, the
+    components tied at the peak share the weight, as in ``_gmm_pull``."""
     m, dim = z.shape
     diff = z[:, None, :] - mean_mat[None, :, :]
     ssq = np.einsum("mkd,mkd->mk", diff, diff)
@@ -179,7 +179,7 @@ class TestGmmEps:
         batch = gmm_chain_eps(zs, 9, prior, sched)
         for z, expected in zip(zs, batch):
             got = grid_eps(LatentGrid.constant(z, 1, 1, 1), 9, prior, sched)
-            np.testing.assert_allclose(got.data[0, 0, 0], expected, rtol=1e-12)
+            assert np.array_equal(got.data[0, 0, 0], expected)  # the same per-point arithmetic
 
     def test_chain_eps_requires_scalar_prior(self, sched200):
         means = (LatentGrid.constant(0.0, 2, 2, 1),)
@@ -495,12 +495,12 @@ class TestScoreBitExact:
     @settings(max_examples=150, deadline=None)
     def test_per_component_score_equals_axis_form(self, seed, m, k, d):
         args = random_mixture(seed, m, k, d)
-        assert _gmm_score_flat(*args).tobytes() == reference_score(*args).tobytes()
+        assert _gmm_pull(*args).tobytes() == np.negative(reference_score(*args)).tobytes()
 
     @pytest.mark.parametrize("k", [7, 8, 9, 17, 130])
     def test_many_components_equal_axis_form(self, k):
         args = random_mixture(k, 25, k, 2)
-        assert _gmm_score_flat(*args).tobytes() == reference_score(*args).tobytes()
+        assert _gmm_pull(*args).tobytes() == np.negative(reference_score(*args)).tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300), k=st.sampled_from([3, 8, 9]))
     @settings(max_examples=60, deadline=None)
@@ -513,9 +513,9 @@ class TestScoreBitExact:
         z[at, 0] = gen.choice(special, int(at.sum()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the overflow branch warns about nothing
-            got = _gmm_score_flat(z, mean_mat, weights, variances)
+            got = _gmm_pull(z, mean_mat, weights, variances)
         with np.errstate(over="ignore"):
-            want = reference_score(z, mean_mat, weights, variances)
+            want = np.negative(reference_score(z, mean_mat, weights, variances))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -531,11 +531,36 @@ class TestScoreBitExact:
         at = gen.random(z.shape) < 0.3
         z[at] = gen.choice(special, int(at.sum()))
         z[:k] = mean_mat  # points at a mean
-        got = _gmm_score_flat(z, mean_mat, weights, variances)
+        got = _gmm_pull(z, mean_mat, weights, variances)
         with np.errstate(over="ignore"):
-            want = reference_score(z, mean_mat, weights, variances)
+            want = np.negative(reference_score(z, mean_mat, weights, variances))
         assert got.tobytes() == want.tobytes()
-        assert (np.signbit(got) & (got == 0.0)).any() and (got == 0.0).any()
+        # a -0.0 in the score: a zero of the pull whose sign the sum over k set
+        assert (np.signbit(np.negative(got)) & (got == 0.0)).any() and (got == 0.0).any()
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_callers_equal_their_formulas_on_the_score_at_ebm_size(self, k, sched200):
+        # gmm_chain_eps was (-sqrt(1 - abar)) * score and grad_chain -score;
+        # they now scale or return the pull, with the same bits
+        _, mean_mat, weights, variances = random_mixture(40 + k, 1, k, 1)
+        mean_mat[0, 0] = 0.0
+        prior = scalar_prior(weights, mean_mat[:, 0], np.sqrt(variances))
+        gen = np.random.default_rng(40 + k)
+        special = np.array([0.0, -0.0, 1e200, -1e200, 5e-324, -5e-324, 1e-310, -2e-308])
+        z = gen.normal(size=10_000) * 3.0
+        at = gen.random(z.size) < 0.3
+        z[at] = gen.choice(special, int(at.sum()))
+        with np.errstate(over="ignore"):
+            for t in (1, 100, 200):
+                abar = sched200.alpha_bar[t - 1]
+                score = reference_score(z[:, None], np.sqrt(abar) * prior.mean_matrix,
+                                        prior.weights, abar * prior._variances + (1.0 - abar))
+                want = (-np.sqrt(1.0 - abar)) * score[:, 0]
+                assert gmm_chain_eps(z, t, prior, sched200).tobytes() == want.tobytes()
+            score = reference_score(z[:, None], prior.mean_matrix, prior.weights, prior._variances)
+            want = -score[:, 0]
+        assert GMMEnergy(prior).grad_chain(z).tobytes() == want.tobytes()
 
 
 class TestGMMEnergy:
@@ -586,6 +611,19 @@ class TestGMMEnergy:
             assert np.array_equal(unit.grad_chain(far), far)
             assert np.array_equal(bimodal.grad_chain(np.concatenate([far, ordinary])), mixed)
 
+    def test_value_is_inf_where_every_component_overflows(self):
+        # ssq overflows for every component: each log component is -inf, and
+        # the max subtraction would give -inf - -inf = NaN
+        bimodal = GMMEnergy(scalar_prior([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25]))
+        unit = GMMEnergy(scalar_prior([1.0], [0.0], [1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for energy, far in ((bimodal, 1e160), (unit, 1e200)):
+                for z in (far, -far):
+                    assert energy.value(LatentGrid.constant(z, 1, 1, 1)) == np.inf
+            assert unit.value(LatentGrid.constant(3.0, 1, 1, 1)) == 4.5 + 0.5 * np.log(2 * np.pi)
+            assert bimodal.value(LatentGrid.constant(1e150, 1, 1, 1)) < np.inf
+
     def test_chain_grad_matches_grid_grad(self):
         prior = scalar_prior([0.5, 0.5], [-2.0, 2.0], [0.25, 0.25])
         energy = GMMEnergy(prior)
@@ -593,7 +631,7 @@ class TestGMMEnergy:
         batch = energy.grad_chain(zs)
         for z, expected in zip(zs, batch):
             got = energy.grad_chain(LatentGrid.constant(z, 1, 1, 1).data)[0, 0, 0]
-            np.testing.assert_allclose(got, expected, rtol=1e-12)
+            assert np.array_equal(got, expected)  # the same per-point arithmetic
 
 
 class TestDenoiserContract:
